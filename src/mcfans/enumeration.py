@@ -2,39 +2,30 @@
 components.
 
 m-clusters are unordered, so states are identified up to simultaneous column
-permutation (canonical_key).  Graph nodes are canonical keys with one concrete
-representative state each; green edges are recorded while expanding each
-representative through mu_plus, and mu_minus is used only to close the node
-set downward.
+permutation (canonical_key: the sorted graded columns).  Graph nodes are
+canonical keys with one concrete representative state each; the graph is the
+closure of the initial state under mu_plus, and every green edge is recorded
+while expanding a representative.
 """
 
 import json
 import math
-from itertools import permutations
 
-from .errors import NodeCapExceeded, NotInvertibleHere, SlopeAtMax
-from .mutation import (GradedVector, initial_state, is_terminal, mu_minus,
-                       mu_plus, state_to_json)
+from .errors import NodeCapExceeded, SlopeAtMax
+from .mutation import initial_state, is_terminal, mu_plus, state_to_json
 
 DEFAULT_NODE_CAP = 100000
 
 
 def canonical_key(st):
-    """Lexicographically minimal serialization over all column permutations.
+    """JSON list of the graded columns [slope_j, |c_j|], in sorted order.
 
-    A permutation acts by reordering C-columns and slopes and conjugating B;
-    coordinate rows of |C| are not permuted.
+    This is a canonical form up to column permutation: B = D^-1 C^T D B0 C is
+    fixed by the signed C, and permuting columns conjugates B.  det C = +-1,
+    so no two |c_j| are equal and the sort has exactly one result.
     """
-    n = st.context.n
-    best = None
-    for p in permutations(range(n)):
-        b = tuple(tuple(st.B[p[i]][p[j]] for j in range(n)) for i in range(n))
-        absc = tuple(tuple(st.absC[i][p[j]] for j in range(n)) for i in range(n))
-        slopes = tuple(st.slopes[p[j]] for j in range(n))
-        cand = json.dumps([b, absc, slopes], separators=(",", ":"))
-        if best is None or cand < best:
-            best = cand
-    return best
+    return json.dumps(sorted(zip(st.slopes, zip(*st.absC))),
+                      separators=(",", ":"))
 
 
 class ExchangeGraph:
@@ -59,7 +50,13 @@ def classify_edge(st, k):
 
 
 def exchange_graph(ctx, node_cap=None):
-    """Closure of the initial state under mu_plus and mu_minus.
+    """Closure of the initial state under mu_plus, keyed by canonical_key.
+
+    Each node keeps the first representative state that reached its key, and
+    every mu_plus from a representative is recorded as a green edge.  No
+    mu_minus closure is needed: in finite type every state of the silting
+    interval [A[m], A] is reached from A by green (left) mutations alone
+    (Aihara-Iyama, Silting mutation in triangulated categories, 2012).
 
     Raises NodeCapExceeded if more than node_cap canonical classes appear
     (guards against non-finite type).
@@ -76,27 +73,16 @@ def exchange_graph(ctx, node_cap=None):
         qi += 1
         st = reps[key]
         for k in range(1, ctx.n + 1):
-            sk = st.slopes[k - 1]
-            if sk < ctx.m:
-                nxt = mu_plus(st, k)
-                nkey = canonical_key(nxt)
-                if nkey not in reps:
-                    reps[nkey] = nxt
-                    queue.append(nkey)
-                    if len(reps) > cap:
-                        raise NodeCapExceeded(f"exchange graph exceeds {cap} nodes")
-                edges.append((key, nkey, k, classify_edge(st, k)))
-            if sk > 0:
-                try:
-                    prev = mu_minus(st, k)
-                except NotInvertibleHere:
-                    continue
-                pkey = canonical_key(prev)
-                if pkey not in reps:
-                    reps[pkey] = prev
-                    queue.append(pkey)
-                    if len(reps) > cap:
-                        raise NodeCapExceeded(f"exchange graph exceeds {cap} nodes")
+            if st.slopes[k - 1] == ctx.m:
+                continue
+            nxt = mu_plus(st, k)
+            nkey = canonical_key(nxt)
+            if nkey not in reps:
+                reps[nkey] = nxt
+                queue.append(nkey)
+                if len(reps) > cap:
+                    raise NodeCapExceeded(f"exchange graph exceeds {cap} nodes")
+            edges.append((key, nkey, k, classify_edge(st, k)))
     terminals = sorted(k for k, s in reps.items() if is_terminal(s))
     return ExchangeGraph(reps, edges, init_key, terminals)
 

@@ -1,16 +1,87 @@
 """Exchange graphs, maximal green sequences, edge parity, components."""
 
+import json
+from itertools import permutations, product
+
 import pytest
 
-from mcfans.enumeration import (canonical_key, classify_edge, enumerate_mgs,
-                                exchange_graph, fan_components, fuss_catalan,
-                                graph_to_json, longest_mgs, mgs_to_json)
-from mcfans.errors import NodeCapExceeded, SlopeAtMax
-from mcfans.mutation import MutationContext, MutationState, initial_state
+from mcfans.enumeration import (DEFAULT_NODE_CAP, canonical_key,
+                                classify_edge, enumerate_mgs, exchange_graph,
+                                fan_components, fuss_catalan, graph_to_json,
+                                longest_mgs, mgs_to_json)
+from mcfans.errors import NodeCapExceeded, NotInvertibleHere, SlopeAtMax
+from mcfans.mutation import (MutationContext, MutationState, initial_state,
+                             mu_minus, mu_plus)
+from mcfans.seed import preset
 
 
 def _graph(q, m, **kw):
     return exchange_graph(MutationContext(q, m), **kw)
+
+
+def _orientations(n):
+    """The preset names of all 2^(n-1) orientations of the path A_n."""
+    return [f"a_n:{''.join(o)}" for o in product("<>", repeat=n - 1)]
+
+
+# --- oracles: brute-force key and two-sided closure ---
+
+def _lexmin_key(st):
+    """Lexicographically minimal JSON of (B, |C|, slopes) over all n! column
+    permutations; a permutation reorders C-columns and slopes and conjugates
+    B. Brute-force oracle for canonical_key."""
+    n = st.context.n
+    best = None
+    for p in permutations(range(n)):
+        b = tuple(tuple(st.B[p[i]][p[j]] for j in range(n)) for i in range(n))
+        absc = tuple(tuple(st.absC[i][p[j]] for j in range(n)) for i in range(n))
+        slopes = tuple(st.slopes[p[j]] for j in range(n))
+        cand = json.dumps([b, absc, slopes], separators=(",", ":"))
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def _two_sided_closure(ctx, node_cap=DEFAULT_NODE_CAP):
+    """Closure of the initial state under mu_plus and mu_minus, with a green
+    edge recorded for every mu_plus from a representative. Oracle for the
+    green-only closure of exchange_graph; it shares canonical_key, which
+    test_canonical_key_matches_lexmin_oracle checks on its own."""
+    init = initial_state(ctx)
+    reps = {canonical_key(init): init}
+    edges = []
+    queue = list(reps)
+    qi = 0
+    while qi < len(queue):
+        key = queue[qi]
+        qi += 1
+        st = reps[key]
+        for k in range(1, ctx.n + 1):
+            found = []
+            if st.slopes[k - 1] < ctx.m:
+                nxt = mu_plus(st, k)
+                found.append(nxt)
+                edges.append((key, canonical_key(nxt), k, classify_edge(st, k)))
+            if st.slopes[k - 1] > 0:
+                try:
+                    found.append(mu_minus(st, k))
+                except NotInvertibleHere:
+                    pass
+            for other in found:
+                okey = canonical_key(other)
+                if okey not in reps:
+                    reps[okey] = other
+                    queue.append(okey)
+                    if len(reps) > node_cap:
+                        raise NodeCapExceeded(f"closure exceeds {node_cap} nodes")
+    return reps, edges
+
+
+def _labelled_edges(reps, edges):
+    """Edges with the mutated vertex replaced by the graded column crossed,
+    which does not depend on the column order of the representative."""
+    return sorted((u, v, reps[u].slopes[k - 1], reps[u].column(k - 1), p)
+                  for (u, v, k, p) in edges)
 
 
 # --- counts ---
@@ -59,9 +130,13 @@ def test_pentagon_shape(q2):
 def test_node_cap(q2, q2t):
     with pytest.raises(NodeCapExceeded):
         _graph(q2, 3, node_cap=5)
-    # the affine triangle has an infinite exchange graph at every level
-    with pytest.raises(NodeCapExceeded):
-        _graph(q2t, 1, node_cap=50)
+    # the affine triangle has an infinite exchange graph at every level,
+    # closed under mu_plus alone or under both mutations
+    for m in (1, 2):
+        with pytest.raises(NodeCapExceeded):
+            _graph(q2t, m, node_cap=50)
+        with pytest.raises(NodeCapExceeded):
+            _two_sided_closure(MutationContext(q2t, m), node_cap=50)
 
 
 # --- canonical keys ---
@@ -79,6 +154,51 @@ def test_canonical_key_permutation_invariance(q3):
         slopes = tuple(st.slopes[p[j]] for j in range(n))
         assert canonical_key(MutationState(ctx, b, absc, slopes)) == canonical_key(st)
     assert canonical_key(st) != canonical_key(initial_state(ctx))
+
+
+KEY_ORACLE_CASES = ([("a3", m) for m in (1, 2, 3)]
+                    + [(name, m) for name in _orientations(4) for m in (1, 2)]
+                    + [("b2", 1), ("b2", 2)])
+
+
+@pytest.mark.parametrize("name,m", KEY_ORACLE_CASES)
+def test_canonical_key_matches_lexmin_oracle(name, m, qb2):
+    q = qb2 if name == "b2" else preset(name)
+    graph = _graph(q, m)
+    # every representative and every mu_plus image of one, so each class is
+    # met in several column orders
+    states = list(graph.nodes.values())
+    for st in graph.nodes.values():
+        states.extend(mu_plus(st, k) for k in range(1, q.n + 1)
+                      if st.slopes[k - 1] < m)
+    new_to_old, old_to_new = {}, {}
+    for st in states:
+        new, old = canonical_key(st), _lexmin_key(st)
+        assert new_to_old.setdefault(new, old) == old
+        assert old_to_new.setdefault(old, new) == new
+    assert len(new_to_old) == len(graph)
+
+
+def test_canonical_key_format(q2, state_x):
+    assert canonical_key(initial_state(MutationContext(q2, 1))) == \
+        "[[0,[0,1]],[0,[1,0]]]"
+    # columns (0,1,0), (1,1,0), (0,0,1) at slopes 2, 1, 2
+    assert canonical_key(state_x) == "[[1,[1,1,0]],[2,[0,0,1]],[2,[0,1,0]]]"
+
+
+CLOSURE_CASES = ([(name, m) for n in (2, 3, 4) for name in _orientations(n)
+                  for m in (1, 2, 3)]
+                 + [(name, m) for name in ("a2", "a3", "b2") for m in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("name,m", CLOSURE_CASES)
+def test_green_closure_matches_two_sided_closure(name, m, qb2):
+    ctx = MutationContext(qb2 if name == "b2" else preset(name), m)
+    graph = exchange_graph(ctx)
+    reps, edges = _two_sided_closure(ctx)
+    assert set(graph.nodes) == set(reps)
+    assert _labelled_edges(graph.nodes, graph.edges) == \
+        _labelled_edges(reps, edges)
 
 
 # --- edge parity ---

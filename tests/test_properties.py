@@ -127,6 +127,21 @@ def test_canonical_key_under_permutation(state_x, perm):
     assert canonical_key(shuffled) == canonical_key(state_x)
 
 
+@settings(max_examples=50, deadline=None)
+@given(which=st.integers(min_value=0, max_value=4),
+       m=st.integers(min_value=1, max_value=3),
+       choices=st.lists(st.integers(min_value=0, max_value=96), max_size=18))
+def test_graded_columns_pairwise_distinct(qb2, which, m, choices):
+    q = [preset("a2"), preset("a3"), preset("a_n:<><"), preset("a_n:>><"),
+         qb2][which]
+    state, _trail = _walk(MutationContext(q, m), choices)
+    # det C = +-1 keeps even the ungraded |c_j| apart, so canonical_key's
+    # sort of the graded columns has a single result
+    cols = [state.column(j) for j in range(q.n)]
+    assert len(set(cols)) == q.n
+    assert len(set(zip(state.slopes, cols))) == q.n
+
+
 # --- homological pairing ---
 
 @settings(max_examples=60, deadline=None)
