@@ -32,9 +32,6 @@ def lau_add(a, b):
             out.pop(p, None)
     return out
 
-def lau_neg(a):
-    return {p: -c for p, c in a.items()}
-
 def lau_mul(a, b):
     out = {}
     for pa, ca in a.items():
@@ -46,9 +43,6 @@ def lau_mul(a, b):
             else:
                 out.pop(p, None)
     return out
-
-def lau_eq(a, b):
-    return a == b
 
 
 # --- denominators: Counter {i: mult} for prod (q^i - 1)^mult, q = v^2 ---
@@ -97,8 +91,8 @@ class Coeff:
         return Coeff(lau_add(a, b), lcm)
 
     def __eq__(self, other):
-        return lau_eq(lau_mul(self.num, _den_expand(other.den)),
-                      lau_mul(other.num, _den_expand(self.den)))
+        return (lau_mul(self.num, _den_expand(other.den))
+                == lau_mul(other.num, _den_expand(self.den)))
 
     def __repr__(self):
         return f"Coeff({self.num}, den={dict(self.den)})"

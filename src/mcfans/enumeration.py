@@ -135,26 +135,36 @@ class MgsResult:
 def enumerate_mgs(ctx, depth_cap):
     """All maximal positive-mutation sequences from the initial state that
     terminate (all slopes = m) within depth_cap steps. Deterministic DFS,
-    ascending vertex index at every branch."""
+    ascending vertex index at every branch, on an explicit stack so the
+    depth is not bounded by Python's recursion limit."""
     if depth_cap < 1:
         raise ValueError("depth_cap must be >= 1")
     records = []
-    truncated = [False]
-
-    def dfs(st, path, crossings):
-        if is_terminal(st):
+    truncated = False
+    path, crossings = [], []  # path[d] leads from stack[d] to stack[d + 1]
+    stack = [(initial_state(ctx), iter(range(1, ctx.n + 1)))]
+    while stack:
+        st, ks = stack[-1]
+        k = next((k for k in ks if st.slopes[k - 1] < ctx.m), None)
+        if k is None:
+            stack.pop()
+            if stack:
+                path.pop()
+                crossings.pop()
+            continue
+        nxt = mu_plus(st, k)
+        path.append(k)
+        crossings.append(st.graded_column(k - 1))
+        if is_terminal(nxt):
             records.append(MgsRecord(path, crossings))
-            return
-        if len(path) >= depth_cap:
-            truncated[0] = True
-            return
-        for k in range(1, ctx.n + 1):
-            if st.slopes[k - 1] < ctx.m:
-                cross = st.graded_column(k - 1)
-                dfs(mu_plus(st, k), path + [k], crossings + [cross])
-
-    dfs(initial_state(ctx), [], [])
-    return MgsResult(records, truncated[0])
+        elif len(path) >= depth_cap:
+            truncated = True
+        else:
+            stack.append((nxt, iter(range(1, ctx.n + 1))))
+            continue
+        path.pop()
+        crossings.pop()
+    return MgsResult(records, truncated)
 
 
 def _toposort_green(graph):

@@ -12,7 +12,7 @@ from itertools import combinations, product
 from .errors import (DualBrickNotFound, InconclusiveGenericity, NegativeExt,
                      NotExceptionalSequence, TooLarge, UnsupportedType)
 from .intmat import rank as mat_rank
-from .intmat import left_nullspace, nullspace, solve
+from .intmat import det, dot, left_nullspace, nullspace, solve
 from .seed import dim_of_g, euler_pairing, g_of_dim
 
 
@@ -112,7 +112,6 @@ def _check_dynkin(q):
     # Cartan matrix must be positive definite (leading principal minors > 0)
     cartan = [[q.euler[i][j] + q.euler[j][i] for j in range(q.n)]
               for i in range(q.n)]
-    from .intmat import det
     for k in range(1, q.n + 1):
         minor = det([row[:k] for row in cartan[:k]])
         if minor <= 0:
@@ -425,9 +424,9 @@ class Wall:
 
     def contains(self, x):
         """Exact membership of a rational vector in the stability set."""
-        if _dot(x, self.normal) != 0:
+        if dot(x, self.normal) != 0:
             return False
-        return all(_dot(x, d) <= 0 for d in self.subdims)
+        return all(dot(x, d) <= 0 for d in self.subdims)
 
     def __eq__(self, other):
         return (isinstance(other, Wall) and self.normal == other.normal
@@ -442,10 +441,6 @@ class Wall:
     def to_json(self):
         return {"normal": list(self.normal),
                 "subdims": [list(d) for d in sorted(self.subdims)]}
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
 
 
 def wall_of(m):
@@ -674,16 +669,12 @@ def mutation_case_oracle(e_k, e_j, r):
 
 # --- extensions, decomposition, closure oracles ---
 
-def _hom_dim_reps(q, dims_x, maps_x, dims_y, maps_y):
-    return len(hom_space(q, dims_x, maps_x, dims_y, maps_y))
-
-
 def decompose(table, dims, maps):
     """Multiset of indecomposable ids summing to the given representation,
     determined by Hom counts against the full table."""
     q = table.quiver
     reps = table.reps
-    hvec = [_hom_dim_reps(q, t.dim, t.maps, dims, maps) for t in reps]
+    hvec = [len(hom_space(q, t.dim, t.maps, dims, maps)) for t in reps]
     hmat = [[table.hom(t, u) for u in reps] for t in reps]
     mults = solve(hmat, hvec)
     out = []

@@ -7,15 +7,7 @@ anything that needs division goes through fractions.Fraction.
 from fractions import Fraction
 
 
-# --- constructors / basics ---
-
-def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def zeros(rows, cols):
-    return [[0] * cols for _ in range(rows)]
-
+# --- basics ---
 
 def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
@@ -25,11 +17,9 @@ def copy_matrix(a):
     return [list(row) for row in a]
 
 
-def mat_eq(a, b):
-    if len(a) != len(b):
-        return False
-    return all(len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))
-               for ra, rb in zip(a, b))
+def dot(u, v):
+    """Dot product; no length check, so zip truncates to the shorter one."""
+    return sum(x * y for x, y in zip(u, v))
 
 
 def mat_mul(a, b):
@@ -47,40 +37,13 @@ def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def vec_dot(u, v):
-    if len(u) != len(v):
-        raise ValueError("length mismatch in vec_dot")
-    return sum(x * y for x, y in zip(u, v))
-
-
-def scale_rows(d, a):
-    """diag(d) * a."""
-    return [[d[i] * x for x in row] for i, row in enumerate(a)]
-
-
-def scale_cols(a, d):
-    """a * diag(d)."""
-    return [[x * d[j] for j, x in enumerate(row)] for row in a]
-
-
-def as_int_matrix(a):
-    """Convert to plain ints, raising if any entry is not integral."""
-    out = []
-    for row in a:
-        new = []
-        for x in row:
-            f = Fraction(x)
-            if f.denominator != 1:
-                raise ValueError(f"non-integral entry {x}")
-            new.append(int(f))
-        out.append(new)
-    return out
-
-
 # --- elimination-based routines ---
 
 def det(a):
-    """Determinant via fraction-free Bareiss; integer input gives integer output."""
+    """Determinant of an integer matrix via fraction-free Bareiss.
+
+    Every division is exact, so the arithmetic stays in integers.
+    """
     n = len(a)
     if n == 0:
         return 1
@@ -98,9 +61,7 @@ def det(a):
                 return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev \
-                    if isinstance(m[i][j], int) and isinstance(prev, int) \
-                    else (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]

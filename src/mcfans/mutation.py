@@ -1,17 +1,17 @@
 """Slope-graded seed mutation.
 
-A state carries the current exchange matrix B, the nonnegative column matrix
-|C| and a slope (grade) per column, for a fixed level m.  mu_plus raises the
-slope at one vertex and fires the neighbouring columns; mu_minus is its exact
-inverse, reconstructed from the B-consistency invariant
-B = D^{-1} C^T D B0 C  (C the signed matrix with columns (-1)^{s_j} |c_j|).
+A state is its graded c-vectors: the nonnegative column matrix |C| and a
+slope (grade) per column, for a fixed level m.  The exchange matrix is not
+stored; it is derived as B = D^{-1} C^T D B0 C, with C the signed matrix whose
+columns are (-1)^{s_j} |c_j|.  mu_plus raises the slope at one vertex and
+fires the neighbouring columns; mu_minus is its exact inverse.
 """
 
 from itertools import product
 
 from . import seed as seedmod
 from .errors import NotInvertibleHere, SignIncoherence, SlopeAtMax, SlopeAtMin
-from .intmat import det, mat_mul, scale_rows, transpose
+from .intmat import det, dot
 
 
 class GradedVector:
@@ -47,25 +47,35 @@ class MutationContext:
         self.m = int(m)
         self.B0 = quiver.exchange
         self.n = quiver.n
+        # D B0 = E^T - E, the skew-symmetric middle factor of B
+        self.DB0 = tuple(tuple(d * x for x in row)
+                         for d, row in zip(quiver.symmetrizer, self.B0))
 
     def __repr__(self):
         return f"MutationContext({self.quiver!r}, m={self.m})"
 
 
 class MutationState:
-    """Immutable mutation state (B, |C|, slopes) in a context."""
+    """Immutable mutation state (|C|, slopes) in a context.
 
-    __slots__ = ("context", "B", "absC", "slopes")
+    The exchange matrix B is the read-only property st.B, derived from the
+    signed C; it raises ValueError if D^{-1} C^T D B0 C is not integral.
+    """
 
-    def __init__(self, context, B, absC, slopes):
+    __slots__ = ("context", "absC", "slopes")
+
+    def __init__(self, context, absC, slopes):
         self.context = context
-        self.B = tuple(tuple(int(x) for x in row) for row in B)
         self.absC = tuple(tuple(int(x) for x in row) for row in absC)
         self.slopes = tuple(int(s) for s in slopes)
 
+    @property
+    def B(self):
+        return tuple(_b_row(self, i) for i in range(self.context.n))
+
     def _key(self):
         return (self.context.quiver.key(), self.context.m,
-                self.B, self.absC, self.slopes)
+                self.absC, self.slopes)
 
     def __eq__(self, other):
         return isinstance(other, MutationState) and self._key() == other._key()
@@ -74,7 +84,7 @@ class MutationState:
         return hash(self._key())
 
     def __repr__(self):
-        return (f"MutationState(B={self.B}, absC={self.absC}, "
+        return (f"MutationState(absC={self.absC}, "
                 f"slopes={self.slopes}, m={self.context.m})")
 
     def column(self, j):
@@ -86,37 +96,38 @@ class MutationState:
 
 
 def initial_state(ctx):
-    """All slopes 0, |C| = identity, B = B0."""
+    """All slopes 0 and |C| = identity, so B = B0."""
     n = ctx.n
     absC = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    return MutationState(ctx, ctx.B0, absC, (0,) * n)
+    return MutationState(ctx, absC, (0,) * n)
 
 
 def signed_c_matrix(st):
     """C with columns (-1)^{s_j} |c_j|."""
-    n = st.context.n
-    return tuple(tuple((-1) ** st.slopes[j] * st.absC[i][j] for j in range(n))
-                 for i in range(n))
+    signs = [-1 if s % 2 else 1 for s in st.slopes]
+    return tuple(tuple(s * x for s, x in zip(signs, row)) for row in st.absC)
 
 
 def is_terminal(st):
     return all(s == st.context.m for s in st.slopes)
 
 
-def _b_from_signed_c(ctx, c):
-    """B = D^{-1} C^T D B0 C; raises ValueError if non-integral."""
-    d = list(ctx.quiver.symmetrizer)
-    db0 = scale_rows(d, [list(r) for r in ctx.B0])
-    t = mat_mul(mat_mul([list(r) for r in transpose(c)], db0),
-                [list(r) for r in c])
+def _b_row(st, i):
+    """Row i (0-based) of B = D^{-1} C^T D B0 C in O(n^2).
+
+    Raises ValueError if the row is not integral.
+    """
+    c = signed_c_matrix(st)
+    ci = [row[i] for row in c]
+    # row i of C^T D B0 is -(D B0 c_i), as D B0 is skew-symmetric
+    v = [-dot(row, ci) for row in st.context.DB0]
+    d = st.context.quiver.symmetrizer[i]
     out = []
-    for i, row in enumerate(t):
-        new = []
-        for x in row:
-            if x % d[i] != 0:
-                raise ValueError("B-consistency product is not integral")
-            new.append(x // d[i])
-        out.append(tuple(new))
+    for col in zip(*c):
+        x = dot(v, col)
+        if x % d:
+            raise ValueError("B-consistency product is not integral")
+        out.append(x // d)
     return tuple(out)
 
 
@@ -133,10 +144,11 @@ def mu_plus(st, k):
     cols = [list(st.column(j)) for j in range(n)]
     slopes = list(st.slopes)
     ck = cols[kk]
+    bk = _b_row(st, kk)
     for j in range(n):
         if j == kk:
             continue
-        b = st.B[kk][j]
+        b = bk[j]
         if b <= 0:
             continue
         if slopes[j] == sk:
@@ -152,11 +164,7 @@ def mu_plus(st, k):
                 raise SignIncoherence(
                     f"column {j + 1} lost sign coherence while mutating at {k}")
     slopes[kk] = sk + 1
-    abs_c = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    signed = tuple(tuple((-1) ** slopes[j] * abs_c[i][j] for j in range(n))
-                   for i in range(n))
-    new_b = _b_from_signed_c(ctx, signed)
-    return MutationState(ctx, new_b, abs_c, slopes)
+    return MutationState(ctx, zip(*cols), slopes)
 
 
 def mu_minus(st, k):
@@ -177,13 +185,14 @@ def mu_minus(st, k):
     sigma = st.slopes[kk] - 1
     cols = [list(st.column(j)) for j in range(n)]
     ck = cols[kk]
+    bk = _b_row(st, kk)
     choices = []
     for j in range(n):
         if j == kk:
             choices.append([(ck, sigma)])
             continue
         sj = st.slopes[j]
-        b = -st.B[kk][j]
+        b = -bk[j]
         if b <= 0 or sj not in (sigma, sigma + 1):
             choices.append([(cols[j], sj)])
             continue
@@ -205,19 +214,13 @@ def mu_minus(st, k):
                 f"no admissible preimage column {j + 1} under mu_minus at {k}")
         choices.append(cand)
     for combo in product(*choices):
-        abs_c = tuple(tuple(combo[j][0][i] for j in range(n)) for i in range(n))
-        slopes = tuple(c[1] for c in combo)
-        signed = tuple(tuple((-1) ** slopes[j] * abs_c[i][j] for j in range(n))
-                       for i in range(n))
+        candidate = MutationState(ctx, zip(*(c[0] for c in combo)),
+                                  (c[1] for c in combo))
         try:
-            old_b = _b_from_signed_c(ctx, signed)
-        except ValueError:
-            continue
-        candidate = MutationState(ctx, old_b, abs_c, slopes)
-        try:
-            if mu_plus(candidate, k) == st:
+            # candidate.B raises ValueError unless the derived B is integral
+            if mu_plus(candidate, k) == st and candidate.B:
                 return candidate
-        except (SlopeAtMax, SignIncoherence):
+        except (ValueError, SlopeAtMax, SignIncoherence):
             continue
     raise NotInvertibleHere(f"no preimage of the state round-trips at vertex {k}")
 
@@ -240,13 +243,15 @@ class ValidationReport:
 
 
 def validate_state(st):
-    """Structural checks: shapes, slope bounds, sign coherence, det C = +-1,
-    B-consistency and skew-symmetrizability of the current B."""
+    """Structural checks: shapes, slope bounds, sign coherence, det C = +-1
+    and integrality of the derived B.
+
+    B's consistency with C and the skew-symmetry of D B = C^T (E^T - E) C hold
+    by construction, since B is derived from C rather than stored.
+    """
     ctx = st.context
     n = ctx.n
     problems = []
-    if len(st.B) != n or any(len(r) != n for r in st.B):
-        problems.append("B has wrong shape")
     if len(st.absC) != n or any(len(r) != n for r in st.absC):
         problems.append("absC has wrong shape")
     if len(st.slopes) != n:
@@ -263,20 +268,13 @@ def validate_state(st):
         if all(x == 0 for x in col):
             problems.append(f"column {j + 1} is zero")
     if not problems:
-        signed = signed_c_matrix(st)
-        d = det([list(r) for r in signed])
+        d = det(signed_c_matrix(st))
         if d not in (1, -1):
             problems.append(f"det C = {d}, expected +-1")
         try:
-            expect = _b_from_signed_c(ctx, signed)
+            st.B  # derived on access
         except ValueError:
             problems.append("B-consistency product is not integral")
-        else:
-            if expect != st.B:
-                problems.append("B != D^-1 C^T D B0 C")
-        db = scale_rows(list(ctx.quiver.symmetrizer), [list(r) for r in st.B])
-        if any(db[i][j] != -db[j][i] for i in range(n) for j in range(n)):
-            problems.append("D B is not skew-symmetric")
     return ValidationReport(problems)
 
 
@@ -299,6 +297,8 @@ def state_to_json(st):
 
 
 def state_from_json(data, context=None):
+    """Inverse of state_to_json. Raises ValueError if the state fails
+    validate_state or its "B" differs from the derived one."""
     if context is None:
         qdata = data["quiver"]
         quiver = seedmod.preset(qdata) if isinstance(qdata, str) \
@@ -306,4 +306,10 @@ def state_from_json(data, context=None):
         context = MutationContext(quiver, data["m"])
     elif context.m != data["m"]:
         raise ValueError("context level m disagrees with serialized state")
-    return MutationState(context, data["B"], data["absC"], data["slopes"])
+    st = MutationState(context, data["absC"], data["slopes"])
+    report = validate_state(st)
+    if not report.ok:
+        raise ValueError(f"invalid serialized state: {report.problems}")
+    if tuple(tuple(row) for row in data["B"]) != st.B:
+        raise ValueError("serialized B differs from D^-1 C^T D B0 C")
+    return st

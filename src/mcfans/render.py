@@ -10,6 +10,7 @@ import math
 from fractions import Fraction
 
 from .errors import PoleOnWall, UnsupportedRank
+from .intmat import dot
 
 # fixed aesthetic rotation: Ry(3-4-5) * Rx(5-12-13), exact and orthogonal
 _DEFAULT_ROTATION = (
@@ -26,10 +27,6 @@ def _frac_vec(v):
     return tuple(Fraction(x) for x in v)
 
 
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
 def _cross(a, b):
     return (a[1] * b[2] - a[2] * b[1],
             a[2] * b[0] - a[0] * b[2],
@@ -37,7 +34,7 @@ def _cross(a, b):
 
 
 def _mat_vec(m, v):
-    return tuple(_dot(row, v) for row in m)
+    return tuple(dot(row, v) for row in m)
 
 
 def _rotation_for_pole(pole):
@@ -49,11 +46,11 @@ def _rotation_for_pole(pole):
         raise ValueError("pole must be a nonzero 3-vector")
     e3 = (Fraction(0), Fraction(0), Fraction(1))
     w = tuple(x - y for x, y in zip(p, e3))
-    ww = _dot(w, w)
+    ww = dot(w, w)
     if ww == 0:
         return tuple(tuple(Fraction(1 if i == j else 0) for j in range(3))
                      for i in range(3))
-    norm2 = _dot(p, p)
+    norm2 = dot(p, p)
     rows = []
     for i in range(3):
         row = []
@@ -121,7 +118,7 @@ def project_wall(w, pole=None, samples=DEFAULT_SAMPLES):
     rot = _rotation_for_pole(pole)
     # the effective pole in wall coordinates is R^t e3 = third row of R^t
     eff_pole = tuple(rot[2])
-    if _dot(_frac_vec(normal), eff_pole) == 0:
+    if dot(_frac_vec(normal), eff_pole) == 0:
         raise PoleOnWall(f"projection pole lies on the wall of {normal}")
     u, v = _plane_basis(normal)
     subdims = [_frac_vec(d) for d in sorted(w.subdims)]
@@ -130,7 +127,7 @@ def project_wall(w, pole=None, samples=DEFAULT_SAMPLES):
     coords = []
     for (c, s) in pts:
         p = tuple(c * ux + s * vx for ux, vx in zip(u, v))
-        kept.append(all(_dot(p, d) <= 0 for d in subdims))
+        kept.append(all(dot(p, d) <= 0 for d in subdims))
         coords.append(p)
     runs, closed = _runs_cyclic(kept)
     polylines = []

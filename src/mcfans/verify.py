@@ -9,8 +9,8 @@ CheckFailure (or any other exception) on mismatch.
 import time
 
 from .dilog import check_pentagon, dt_invariant_check
-from .enumeration import (canonical_key, enumerate_mgs, exchange_graph,
-                          fan_components, fuss_catalan, longest_mgs)
+from .enumeration import (enumerate_mgs, exchange_graph, fan_components,
+                          fuss_catalan, longest_mgs)
 from .fans import (check_hv_invariance, configuration_of_state,
                    horizontal_algebra, silting_from_state, vertical_algebra)
 from .finrep import (ShiftedProjective, check_wall_membership, ext_dim,
@@ -19,7 +19,7 @@ from .finrep import (ShiftedProjective, check_wall_membership, ext_dim,
 from .intmat import det
 from .mutation import (MutationContext, MutationState, initial_state,
                        mu_minus, mu_plus, signed_c_matrix, validate_state)
-from .render import build_scene, render_picture, scene_stats
+from .render import render_picture
 from .seed import ValuedQuiver, preset
 
 
@@ -78,10 +78,10 @@ A3_X_SILTING = (((0, 1, 1), 1), ((1, 0, 0), 2), ((0, 0, 1), 1))
 
 
 def _state(quiver_name, m, frozen):
-    q = preset(quiver_name)
-    ctx = MutationContext(q, m)
     b, absc, slopes = frozen
-    return MutationState(ctx, b, absc, slopes)
+    st = MutationState(MutationContext(preset(quiver_name), m), absc, slopes)
+    _require(st.B == b, f"frozen B differs from the one derived from {absc}")
+    return st
 
 
 def _display(st):
@@ -340,15 +340,15 @@ def check_structural_properties():
              == {(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)},
              "restricted brick set differs")
     notes.append("arrow-deletion restriction")
-    # renderer: byte determinism and one arc group per wall
+    # renderer: byte determinism and one arc group per wall; render_picture
+    # writes one <g id="wall-..."> group per arc group
     for name, count in (("a2", 3), ("a3", 6)):
         wallset = [wall_of(r) for r in indecomposables(preset(name)).reps]
         svg = render_picture(wallset)
         _require(svg == render_picture(list(reversed(wallset))),
                  "renderer output is not byte-deterministic")
-        stats = scene_stats(build_scene(wallset))
-        _require(stats["arc_group_count"] == count,
-                 f"{name}: {stats['arc_group_count']} arc groups != {count}")
+        groups = svg.count('<g id="wall-')
+        _require(groups == count, f"{name}: {groups} arc groups != {count}")
     notes.append("deterministic rendering")
     return "; ".join(notes)
 

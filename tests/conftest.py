@@ -41,5 +41,6 @@ def table3(q3):
 def state_x(q3):
     """The displayed a3 m=3 state with configuration S2(2), I1(1), S3(2)."""
     ctx = MutationContext(q3, 3)
-    return MutationState(ctx, ((0, -1, 1), (1, 0, -1), (-1, 1, 0)),
-                         ((0, 1, 0), (1, 1, 0), (0, 0, 1)), (2, 1, 2))
+    st = MutationState(ctx, ((0, 1, 0), (1, 1, 0), (0, 0, 1)), (2, 1, 2))
+    assert st.B == ((0, -1, 1), (1, 0, -1), (-1, 1, 0))
+    return st

@@ -1,6 +1,8 @@
 """Exchange graphs, maximal green sequences, edge parity, components."""
 
+import inspect
 import json
+import sys
 from itertools import permutations, product
 
 import pytest
@@ -31,9 +33,10 @@ def _lexmin_key(st):
     permutations; a permutation reorders C-columns and slopes and conjugates
     B. Brute-force oracle for canonical_key."""
     n = st.context.n
+    sb = st.B
     best = None
     for p in permutations(range(n)):
-        b = tuple(tuple(st.B[p[i]][p[j]] for j in range(n)) for i in range(n))
+        b = tuple(tuple(sb[p[i]][p[j]] for j in range(n)) for i in range(n))
         absc = tuple(tuple(st.absC[i][p[j]] for j in range(n)) for i in range(n))
         slopes = tuple(st.slopes[p[j]] for j in range(n))
         cand = json.dumps([b, absc, slopes], separators=(",", ":"))
@@ -143,16 +146,17 @@ def test_node_cap(q2, q2t):
 
 def test_canonical_key_permutation_invariance(q3):
     ctx = MutationContext(q3, 3)
-    st = MutationState(ctx,
-                       ((0, -1, 1), (1, 0, -1), (-1, 1, 0)),
-                       ((0, 1, 0), (1, 1, 0), (0, 0, 1)),
-                       (2, 1, 2))
+    st = MutationState(ctx, ((0, 1, 0), (1, 1, 0), (0, 0, 1)), (2, 1, 2))
+    sb = st.B
+    assert sb == ((0, -1, 1), (1, 0, -1), (-1, 1, 0))
     n = 3
     for p in ((1, 2, 0), (2, 0, 1), (1, 0, 2)):
-        b = tuple(tuple(st.B[p[i]][p[j]] for j in range(n)) for i in range(n))
+        b = tuple(tuple(sb[p[i]][p[j]] for j in range(n)) for i in range(n))
         absc = tuple(tuple(st.absC[i][p[j]] for j in range(n)) for i in range(n))
         slopes = tuple(st.slopes[p[j]] for j in range(n))
-        assert canonical_key(MutationState(ctx, b, absc, slopes)) == canonical_key(st)
+        shuffled = MutationState(ctx, absc, slopes)
+        assert shuffled.B == b  # permuting columns conjugates B
+        assert canonical_key(shuffled) == canonical_key(st)
     assert canonical_key(st) != canonical_key(initial_state(ctx))
 
 
@@ -207,16 +211,16 @@ def test_classify_edge(q2, q3):
     ctx2 = MutationContext(q2, 3)
     st1 = initial_state(ctx2)
     assert classify_edge(st1, 2) == "horizontal"
-    st2 = MutationState(ctx2, ((0, 1), (-1, 0)), ((1, 0), (1, 1)), (0, 1))
+    st2 = MutationState(ctx2, ((1, 0), (1, 1)), (0, 1))
+    assert st2.B == ((0, 1), (-1, 0))
     assert classify_edge(st2, 2) == "vertical"
     ctx3 = MutationContext(q3, 3)
-    x = MutationState(ctx3,
-                      ((0, -1, 1), (1, 0, -1), (-1, 1, 0)),
-                      ((0, 1, 0), (1, 1, 0), (0, 0, 1)),
-                      (2, 1, 2))
+    x = MutationState(ctx3, ((0, 1, 0), (1, 1, 0), (0, 0, 1)), (2, 1, 2))
+    assert x.B == ((0, -1, 1), (1, 0, -1), (-1, 1, 0))
     assert classify_edge(x, 3) == "horizontal"
     assert classify_edge(x, 2) == "vertical"
-    top = MutationState(ctx2, ((0, 1), (-1, 0)), ((0, 1), (1, 0)), (3, 3))
+    top = MutationState(ctx2, ((0, 1), (1, 0)), (3, 3))
+    assert top.B == ((0, 1), (-1, 0))
     with pytest.raises(SlopeAtMax):
         classify_edge(top, 1)
 
@@ -260,6 +264,48 @@ def test_mgs_affine(q2t):
     }
     short = enumerate_mgs(MutationContext(q2t, 1), depth_cap=4)
     assert short.truncated and len(short) == 3
+
+
+def _recursive_mgs(ctx, depth_cap):
+    """Recursive DFS over green mutations, ascending vertex at every branch:
+    oracle for the record order and truncation flag of enumerate_mgs."""
+    found, truncated = [], False
+
+    def dfs(st, path):
+        nonlocal truncated
+        if all(s == ctx.m for s in st.slopes):
+            found.append(tuple(path))
+        elif len(path) >= depth_cap:
+            truncated = True
+        else:
+            for k in range(1, ctx.n + 1):
+                if st.slopes[k - 1] < ctx.m:
+                    dfs(mu_plus(st, k), path + [k])
+
+    dfs(initial_state(ctx), [])
+    return found, truncated
+
+
+@pytest.mark.parametrize("name,m,cap", [("a3", 2, 20), ("a_n:<><", 1, 12),
+                                        ("a2tilde", 1, 7), ("a2tilde", 2, 6)])
+def test_mgs_order_matches_recursive_dfs(name, m, cap):
+    ctx = MutationContext(preset(name), m)
+    res = enumerate_mgs(ctx, cap)
+    assert ([r.mutations for r in res.records], res.truncated) == \
+        _recursive_mgs(ctx, cap)
+
+
+def test_mgs_depth_not_bounded_by_recursion_limit(q2t):
+    ctx = MutationContext(q2t, 1)
+    expected = [r.mutations for r in enumerate_mgs(ctx, 10).records]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        res = enumerate_mgs(ctx, 150)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.truncated
+    assert [r.mutations for r in res.records] == expected
 
 
 def test_mgs_guards(q2):

@@ -48,7 +48,8 @@ def test_silting_initial_and_terminal(ctx2):
         ((1, 1), 3, "shifted-projective")]
     assert [it.g for it in s.items] == [(1, 0), (0, 1)]
 
-    terminal = MutationState(ctx2, ((0, 1), (-1, 0)), ((0, 1), (1, 0)), (3, 3))
+    terminal = MutationState(ctx2, ((0, 1), (1, 0)), (3, 3))
+    assert terminal.B == ((0, 1), (-1, 0))
     s = silting_from_state(terminal)
     assert [(it.dim, it.level, it.kind) for it in s.items] == [
         ((1, 1), 0, "module"), ((1, 0), 0, "module")]
@@ -71,7 +72,8 @@ def test_silting_covers_whole_graph(ctx21):
 
 
 def test_duality_violation(ctx21):
-    bad = MutationState(ctx21, ((0, -1), (1, 0)), ((1, 1), (1, 0)), (0, 1))
+    bad = MutationState(ctx21, ((1, 1), (1, 0)), (0, 1))
+    assert bad.B == ((0, -1), (1, 0))
     with pytest.raises(DualityViolation):
         silting_from_state(bad)
 
@@ -138,7 +140,8 @@ def test_fan_wall_set_vertical_is_negated(ctx2):
 
 def test_fan_wall_set_blue_slots(ctx2):
     # all columns sit in slot 1 (slopes 2 and 3), so every wall renders blue
-    st6 = MutationState(ctx2, ((0, 1), (-1, 0)), ((1, 0), (1, 1)), (2, 3))
+    st6 = MutationState(ctx2, ((1, 0), (1, 1)), (2, 3))
+    assert st6.B == ((0, 1), (-1, 0))
     walls = fan_wall_set(configuration_of_state(st6), "horizontal")
     assert [(w.normal, w.slot, w.style) for w in walls] == [
         ((0, 1), 1, "blue"), ((1, 0), 1, "blue"), ((1, 1), 1, "blue")]

@@ -45,7 +45,9 @@ def ctx3(q3):
 
 def _state(ctx, triple):
     b, c, s = triple
-    return MutationState(ctx, b, c, s)
+    st = MutationState(ctx, c, s)
+    assert st.B == b
+    return st
 
 
 def test_initial_state(ctx2):
@@ -128,17 +130,24 @@ def test_validate_state_good(ctx2, ctx3):
 
 
 def test_validate_state_flags_problems(ctx2):
-    bad_slope = MutationState(ctx2, CHAIN[4][0], CHAIN[4][1], (1, 4))
+    bad_slope = MutationState(ctx2, CHAIN[4][1], (1, 4))
     rep = validate_state(bad_slope)
     assert not rep.ok and any("slope" in p for p in rep.problems)
 
-    zero_col = MutationState(ctx2, CHAIN[0][0], ((1, 0), (0, 0)), (0, 0))
+    zero_col = MutationState(ctx2, ((1, 0), (0, 0)), (0, 0))
     rep = validate_state(zero_col)
     assert any("zero" in p for p in rep.problems)
 
-    wrong_b = MutationState(ctx2, ((0, 1), (-1, 0)), CHAIN[4][1], CHAIN[4][2])
-    rep = validate_state(wrong_b)
-    assert not rep.ok and any("B" in p for p in rep.problems)
+    # valued B3 with arrows 1 -> 2 and 2 -> 3 (weight 2): reversing the
+    # columns gives det C = -1 but B[3][2] = (D B0)[1][2] / 2 = 1/2 (1-based)
+    qb3 = ValuedQuiver(3, ((1, -1, 0), (0, 1, -2), (0, 0, 2)),
+                       symmetrizer=(1, 1, 2))
+    swapped = MutationState(MutationContext(qb3, 1),
+                            ((0, 0, 1), (0, 1, 0), (1, 0, 0)), (0, 0, 0))
+    with pytest.raises(ValueError):
+        swapped.B
+    rep = validate_state(swapped)
+    assert rep.problems == ["B-consistency product is not integral"]
 
 
 def test_state_json_round_trip_preset(ctx2):
@@ -158,6 +167,25 @@ def test_state_json_round_trip_custom(qb2):
     assert isinstance(data["quiver"], dict)
     back = state_from_json(data)
     assert back == st
+
+
+def test_state_json_rejects_altered_b(ctx2, qb2):
+    for st in (_state(ctx2, CHAIN[3]),
+               mu_plus(initial_state(MutationContext(qb2, 2)), 1)):
+        data = state_to_json(st)
+        assert state_from_json(data) == st
+        data["B"][0][1] += 1
+        with pytest.raises(ValueError):
+            state_from_json(data)
+
+
+def test_state_json_rejects_invalid_state(ctx2):
+    data = state_to_json(_state(ctx2, CHAIN[3]))
+    for key, value in (("absC", [[1, 0]]), ("slopes", [0, 4]),
+                       ("absC", [[1, 1], [1, 1]])):
+        bad = dict(data, **{key: value})
+        with pytest.raises(ValueError):
+            state_from_json(bad)
 
 
 def test_state_json_level_mismatch(ctx2, q2):

@@ -8,7 +8,7 @@ from mcfans.dilog import (Coeff, PairingForm, QSeries, lau_monomial,
                           qseries_mul)
 from mcfans.enumeration import canonical_key
 from mcfans.finrep import ext_dim, hom_dim, indecomposables
-from mcfans.intmat import det
+from mcfans.intmat import det, mat_mul, transpose
 from mcfans.mutation import (MutationContext, MutationState, initial_state,
                              mu_minus, mu_plus, signed_c_matrix,
                              validate_state)
@@ -87,6 +87,29 @@ def test_walk_invariants_valued(qb2, choices):
         assert mu_minus(mu_plus(prev, k), k) == prev
 
 
+def _b_reference(st):
+    """The full-matrix product B = D^-1 C^T D B0 C, C the signed matrix:
+    oracle for the row-by-row derivation behind st.B."""
+    d = st.context.quiver.symmetrizer
+    c = [list(r) for r in signed_c_matrix(st)]
+    db0 = [[d[i] * x for x in row] for i, row in enumerate(st.context.B0)]
+    t = mat_mul(mat_mul(transpose(c), db0), c)
+    assert all(x % d[i] == 0 for i, row in enumerate(t) for x in row)
+    return tuple(tuple(x // d[i] for x in row) for i, row in enumerate(t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(which=st.integers(min_value=0, max_value=2),
+       m=st.integers(min_value=1, max_value=3),
+       choices=st.lists(st.integers(min_value=0, max_value=96), max_size=18))
+def test_derived_b_matches_full_product(qb2, which, m, choices):
+    q = [preset("a2"), preset("a3"), qb2][which]
+    state, trail = _walk(MutationContext(q, m), choices)
+    for s in [prev for prev, _k in trail] + [state]:
+        assert s.B == _b_reference(s)
+        assert validate_state(s).ok
+
+
 # --- agreement with plain matrix mutation at level 1 ---
 
 @settings(max_examples=40, deadline=None)
@@ -104,10 +127,8 @@ def test_level_one_matches_matrix_mutation(q2, q3, qb2, choices):
 def test_higher_levels_leave_matrix_mutation(q3):
     # at level 3 the slope rules give a genuinely different B-update
     ctx = MutationContext(q3, 3)
-    x = MutationState(ctx,
-                      ((0, -1, 1), (1, 0, -1), (-1, 1, 0)),
-                      ((0, 1, 0), (1, 1, 0), (0, 0, 1)),
-                      (2, 1, 2))
+    x = MutationState(ctx, ((0, 1, 0), (1, 1, 0), (0, 0, 1)), (2, 1, 2))
+    assert x.B == ((0, -1, 1), (1, 0, -1), (-1, 1, 0))
     z = mu_plus(x, 3)
     assert z.B != fz_mutate(x.B, 2)
 
@@ -118,12 +139,14 @@ def test_higher_levels_leave_matrix_mutation(q3):
 @given(perm=st.permutations(list(range(3))))
 def test_canonical_key_under_permutation(state_x, perm):
     n = 3
-    b = tuple(tuple(state_x.B[perm[i]][perm[j]] for j in range(n))
+    sb = state_x.B
+    b = tuple(tuple(sb[perm[i]][perm[j]] for j in range(n))
               for i in range(n))
     absc = tuple(tuple(state_x.absC[i][perm[j]] for j in range(n))
                  for i in range(n))
     slopes = tuple(state_x.slopes[perm[j]] for j in range(n))
-    shuffled = MutationState(state_x.context, b, absc, slopes)
+    shuffled = MutationState(state_x.context, absc, slopes)
+    assert shuffled.B == b
     assert canonical_key(shuffled) == canonical_key(state_x)
 
 

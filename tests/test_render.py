@@ -80,12 +80,13 @@ def test_negated_wall_is_antipodal(table3):
 def test_samples_lie_exactly_on_plane():
     # the clipping contract: sampled points satisfy the wall equations in
     # exact rational arithmetic before any float projection happens
-    from mcfans.render import _circle_samples, _dot, _plane_basis
+    from mcfans.intmat import dot
+    from mcfans.render import _circle_samples, _plane_basis
     normal = (Fraction(1), Fraction(1), Fraction(1))
     u, v = _plane_basis(normal)
     for (c, s) in _circle_samples(36):
         p = tuple(c * ux + s * vx for ux, vx in zip(u, v))
-        assert _dot(p, normal) == 0
+        assert dot(p, normal) == 0
 
 
 def test_project_needs_rank3(table2):
@@ -170,7 +171,8 @@ def test_svg_styles(q2, q3):
     vsvg = render_picture(fan_wall_set(cfg3, "vertical"))
     assert 'stroke-dasharray="6,3"' in vsvg and 'class="negated"' in vsvg
     ctx2 = MutationContext(q2, 3)
-    st6 = MutationState(ctx2, ((0, 1), (-1, 0)), ((1, 0), (1, 1)), (2, 3))
+    st6 = MutationState(ctx2, ((1, 0), (1, 1)), (2, 3))
+    assert st6.B == ((0, 1), (-1, 0))
     bsvg = render_picture(fan_wall_set(configuration_of_state(st6), "horizontal"))
     assert '#1f4fd8' in bsvg and 'class="blue"' in bsvg
 
