@@ -3,15 +3,18 @@
 Builds exact q-series out of module dimension vectors for the rank-3 preset
 "a3", verifies the commuting-square and pentagon identities, shows that the
 pentagon fails when the factors are fed in the mirrored order, and finishes
-with the wall-crossing invariant: every maximal green sequence of "a2" at
-level 1 multiplies out to the same series.
+with the wall-crossing invariant: every maximal green sequence of "a3" at
+level 1 multiplies out to the same series. It is checked twice, once per
+sequence and once per green edge of the exchange graph, and the two checks
+agree.
 
 Run:  python3 demos/quantum_dilog.py
 """
 
 from mcfans import (MutationContext, PairingForm, check_pentagon,
                     check_square, dilog_series, dt_invariant_check,
-                    enumerate_mgs, indecomposables, preset)
+                    edge_invariant_check, enumerate_mgs, exchange_graph,
+                    first_mgs, green_path_counts, indecomposables, preset)
 from mcfans.errors import HypothesisViolated
 
 
@@ -45,13 +48,21 @@ def main():
         print(f"pentagon refused for swapped factors: {exc}")
 
     # --- every green sequence yields the same ordered product ---
-    ctx = MutationContext(preset("a2"), 1)
+    ctx = MutationContext(q3, 1)
     records = enumerate_mgs(ctx, depth_cap=8).records
-    report = dt_invariant_check(ctx, records, truncation=6)
+    report = dt_invariant_check(ctx, records, truncation=4)
     print(f"invariance across {len(records)} green sequences: ok={report.ok}")
     print(f"common series has {len(report.series.terms)} terms "
           f"up to total degree {report.series.truncation}")
 
+    # --- the same verdict from one product per green edge ---
+    graph = exchange_graph(ctx, depth_cap=8)
+    counts = green_path_counts(graph, 8)
+    edges = edge_invariant_check(ctx, graph, 4, first_mgs(ctx, counts, 8))
+    print(f"invariance across {len(graph.edges)} green edges: ok={edges.ok}, "
+          f"{counts[graph.initial, 8]} green paths counted")
+    print(f"both checks report the same series: "
+          f"{edges.series.to_json() == report.series.to_json()}")
 
 if __name__ == "__main__":
     main()

@@ -8,6 +8,7 @@ from .mutation import (MutationContext, MutationState, GradedVector,
                        initial_state, mu_plus, mu_minus, validate_state,
                        signed_c_matrix, is_terminal)
 from .enumeration import (canonical_key, exchange_graph, enumerate_mgs,
+                          green_path_counts, first_mgs,
                           longest_mgs, fan_components, fuss_catalan,
                           classify_edge, graph_to_json, mgs_to_json)
 from .finrep import (IndecTable, ShiftedProjective, Wall, indecomposables,
@@ -24,7 +25,8 @@ from .fans import (MConfiguration, configuration_of_state, SiltingItem,
                    check_hv_invariance, TaggedWall, fan_wall_set)
 from .dilog import (Coeff, PairingForm, QSeries, qseries_one, qseries_mul,
                     qseries_prod, dilog_series, check_square, check_pentagon,
-                    dt_invariant_check, DtReport)
+                    dt_invariant_check, DtReport, edge_invariant_check,
+                    EdgeReport)
 from .render import (Scene, project_wall, wall_rays, build_scene,
                      scene_stats, render_picture)
 from .verify import run_verification, format_report

@@ -13,9 +13,10 @@ import os
 import sys
 from fractions import Fraction
 
-from .dilog import dt_invariant_check
+from .dilog import edge_invariant_check
 from .enumeration import (enumerate_mgs, exchange_graph, fan_components,
-                          graph_to_json, longest_mgs, mgs_to_json)
+                          first_mgs, graph_to_json, green_path_counts,
+                          longest_mgs, mgs_to_json)
 from .errors import McfError
 from .fans import configuration_of_state, horizontal_algebra, vertical_algebra
 from .finrep import indecomposables, wall_of
@@ -27,21 +28,28 @@ from .verify import format_report, run_verification
 log = logging.getLogger("mcfans")
 
 
-def _env_int(name, parser):
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
+def _positive_int(text):
+    """argparse type of the numeric flags and variables: an integer >= 1."""
     try:
-        return int(raw)
+        value = int(text)
     except ValueError:
-        parser.error(f"environment variable {name}={raw!r} is not an integer")
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}")
+    return value
 
 
 def _resolve_int(flag_value, env_name, default, parser):
     if flag_value is not None:
         return flag_value
-    env = _env_int(env_name, parser)
-    return default if env is None else env
+    raw = os.environ.get(env_name)
+    if raw is None:
+        return default
+    try:
+        return _positive_int(raw)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"environment variable {env_name}: {exc}")
 
 
 def _parse_pole(text, parser):
@@ -159,14 +167,18 @@ def _cmd_render(args, parser):
 
 def _cmd_dilog(args, parser):
     ctx = _context(args, parser)
-    result = enumerate_mgs(ctx, args.depth_cap)
-    if not result.records:
+    cap = args.depth_cap
+    graph = exchange_graph(ctx, depth_cap=cap)
+    counts = green_path_counts(graph, cap)
+    count = counts.get((graph.initial, cap), 0)
+    if not count:
         parser.error("no green sequences found within the depth cap")
-    report = dt_invariant_check(ctx, result.records, args.truncate)
+    report = edge_invariant_check(ctx, graph, args.truncate,
+                                  first_mgs(ctx, counts, cap))
     payload = {
         "quiver": args.quiver, "m": args.m, "truncation": args.truncate,
-        "count": len(result.records), "ok": report.ok,
-        "mismatches": list(report.mismatches),
+        "count": count, "ok": report.ok,
+        "mismatches": [list(edge) for edge in report.mismatches],
     }
     if report.ok:
         payload["series"] = report.series.to_json()
@@ -198,22 +210,25 @@ def build_parser():
 
     p = subs.add_parser("enumerate", help="exchange graph of a quiver/level")
     _add_quiver_m(p)
-    p.add_argument("--node-cap", type=int, help="abort past this many states")
+    p.add_argument("--node-cap", type=_positive_int,
+                   help="abort past this many states")
     p.set_defaults(fn=_cmd_enumerate)
 
     p = subs.add_parser("mgs", help="maximal green sequences")
     _add_quiver_m(p)
-    p.add_argument("--depth-cap", type=int, help="search depth bound")
+    p.add_argument("--depth-cap", type=_positive_int, help="search depth bound")
     p.add_argument("--longest", action="store_true",
                    help="emit only the longest sequence length")
-    p.add_argument("--node-cap", type=int, help="abort past this many states")
+    p.add_argument("--node-cap", type=_positive_int,
+                   help="abort past this many states")
     p.set_defaults(fn=_cmd_mgs)
 
     p = subs.add_parser("fans", help="fan components with their algebras")
     _add_quiver_m(p)
     p.add_argument("--parity", choices=("horizontal", "vertical"),
                    help="restrict to one parity (default: both)")
-    p.add_argument("--node-cap", type=int, help="abort past this many states")
+    p.add_argument("--node-cap", type=_positive_int,
+                   help="abort past this many states")
     p.set_defaults(fn=_cmd_fans)
 
     p = subs.add_parser("walls", help="brick walls of a quiver")
@@ -226,7 +241,7 @@ def build_parser():
                    help="preset name with 2 or 3 vertices")
     p.add_argument("--out", help="SVG output path")
     p.add_argument("--pole", help="projection pole, e.g. 3/13,4/13,12/13")
-    p.add_argument("--samples", type=int,
+    p.add_argument("--samples", type=_positive_int,
                    help=f"great-circle samples (default {DEFAULT_SAMPLES})")
     p.add_argument("--format", choices=("svg", "stats"), default="svg",
                    help="svg writes --out; stats prints scene counts")
@@ -234,9 +249,9 @@ def build_parser():
 
     p = subs.add_parser("dilog", help="wall-crossing series product report")
     _add_quiver_m(p)
-    p.add_argument("--truncate", type=int, default=8,
+    p.add_argument("--truncate", type=_positive_int, default=8,
                    help="series truncation order (default 8)")
-    p.add_argument("--depth-cap", type=int, default=10,
+    p.add_argument("--depth-cap", type=_positive_int, default=10,
                    help="green-sequence search bound (default 10)")
     p.set_defaults(fn=_cmd_dilog)
 

@@ -49,28 +49,37 @@ def classify_edge(st, k):
     return "horizontal" if sk % 2 == 0 else "vertical"
 
 
-def exchange_graph(ctx, node_cap=None):
+def exchange_graph(ctx, node_cap=None, depth_cap=None):
     """Closure of the initial state under mu_plus, keyed by canonical_key.
 
     Each node keeps the first representative state that reached its key, and
-    every mu_plus from a representative is recorded as a green edge.  No
-    mu_minus closure is needed: in finite type every state of the silting
-    interval [A[m], A] is reached from A by green (left) mutations alone
-    (Aihara-Iyama, Silting mutation in triangulated categories, 2012).
+    every mu_plus from a representative is recorded as a green edge, in BFS
+    order.  No mu_minus closure is needed: in finite type every state of the
+    silting interval [A[m], A] is reached from A by green (left) mutations
+    alone (Aihara-Iyama, Silting mutation in triangulated categories, 2012).
+
+    With depth_cap, nodes at BFS depth depth_cap are kept but not expanded,
+    so the graph holds every green path of at most depth_cap steps from the
+    initial node.
 
     Raises NodeCapExceeded if more than node_cap canonical classes appear
     (guards against non-finite type).
     """
     cap = DEFAULT_NODE_CAP if node_cap is None else int(node_cap)
+    if depth_cap is not None and depth_cap < 1:
+        raise ValueError("depth_cap must be >= 1")
     init = initial_state(ctx)
     init_key = canonical_key(init)
     reps = {init_key: init}
+    depth = {init_key: 0}
     edges = []
     queue = [init_key]
     qi = 0
     while qi < len(queue):
         key = queue[qi]
         qi += 1
+        if depth[key] == depth_cap:
+            continue
         st = reps[key]
         for k in range(1, ctx.n + 1):
             if st.slopes[k - 1] == ctx.m:
@@ -79,6 +88,7 @@ def exchange_graph(ctx, node_cap=None):
             nkey = canonical_key(nxt)
             if nkey not in reps:
                 reps[nkey] = nxt
+                depth[nkey] = depth[key] + 1
                 queue.append(nkey)
                 if len(reps) > cap:
                     raise NodeCapExceeded(f"exchange graph exceeds {cap} nodes")
@@ -167,12 +177,80 @@ def enumerate_mgs(ctx, depth_cap):
     return MgsResult(records, truncated)
 
 
+def _successors(graph):
+    succ = {key: [] for key in graph.nodes}
+    for (u, v, _k, _p) in graph.edges:
+        succ[u].append(v)
+    return succ
+
+
+def green_path_counts(graph, depth_cap):
+    """Number of green paths of at most s steps from a node to a terminal
+    one, as a dict {(key, s): count}.  It holds the pairs with a nonzero
+    count that green paths from (graph.initial, depth_cap) reach; a missing
+    pair counts 0.  The entry (graph.initial, depth_cap) is the number of
+    maximal green sequences enumerate_mgs lists at depth_cap.
+
+    Iterative DP: a BFS on reversed edges gives each node's fewest steps to
+    a terminal node; the nodes reached after d steps that can still end
+    within depth_cap - d steps form layer d; counts run from the last layer
+    back to the initial node.
+    """
+    if depth_cap < 1:
+        raise ValueError("depth_cap must be >= 1")
+    succ = _successors(graph)
+    pred = {key: [] for key in graph.nodes}
+    for (u, v, _k, _p) in graph.edges:
+        pred[v].append(u)
+    to_end = dict.fromkeys(graph.terminals, 0)
+    queue = list(graph.terminals)
+    for v in queue:
+        for u in pred[v]:
+            if u not in to_end:
+                to_end[u] = to_end[v] + 1
+                queue.append(u)
+    if to_end.get(graph.initial, depth_cap + 1) > depth_cap:
+        return {}
+    layers = [{graph.initial}]
+    for left in range(depth_cap - 1, -1, -1):
+        layers.append({v for u in layers[-1] if to_end[u] for v in succ[u]
+                       if to_end.get(v, left + 1) <= left})
+    counts = {}
+    for left, layer in enumerate(reversed(layers)):
+        for u in layer:
+            counts[u, left] = (sum(counts.get((v, left - 1), 0)
+                                   for v in succ[u]) if to_end[u] else 1)
+    return counts
+
+
+def first_mgs(ctx, counts, depth_cap):
+    """The first record of enumerate_mgs(ctx, depth_cap), or None if it lists
+    none, read off green_path_counts: from the initial state, mutate at the
+    smallest vertex whose successor still has a green path to a terminal
+    node within the steps left."""
+    st = initial_state(ctx)
+    if (canonical_key(st), depth_cap) not in counts:
+        return None
+    path, crossings = [], []
+    left = depth_cap
+    while not is_terminal(st):
+        left -= 1
+        for k in range(1, ctx.n + 1):
+            if st.slopes[k - 1] < ctx.m:
+                nxt = mu_plus(st, k)
+                if (canonical_key(nxt), left) in counts:
+                    break
+        path.append(k)
+        crossings.append(st.graded_column(k - 1))
+        st = nxt
+    return MgsRecord(path, crossings)
+
+
 def _toposort_green(graph):
     """Topological order of nodes under green edges; raises if cyclic."""
+    out = _successors(graph)
     indeg = {key: 0 for key in graph.nodes}
-    out = {key: [] for key in graph.nodes}
-    for (u, v, _k, _p) in graph.edges:
-        out[u].append(v)
+    for (_u, v, _k, _p) in graph.edges:
         indeg[v] += 1
     order = [k for k in sorted(indeg) if indeg[k] == 0]
     qi = 0
@@ -194,9 +272,7 @@ def longest_mgs(ctx, node_cap=None):
     order = _toposort_green(graph)
     dist = {key: None for key in graph.nodes}
     dist[graph.initial] = 0
-    succ = {key: [] for key in graph.nodes}
-    for (u, v, _k, _p) in graph.edges:
-        succ[u].append(v)
+    succ = _successors(graph)
     for u in order:
         if dist[u] is None:
             continue

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from mcfans.cli import main
+
 CLI = [sys.executable, "-m", "mcfans.cli"]
 
 
@@ -172,6 +174,37 @@ def test_bad_env_value():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("args,env,named", [
+    (["render", "--quiver", "a3", "--format", "stats", "--samples", "0"],
+     {}, "--samples"),
+    (["render", "--quiver", "a3", "--format", "stats", "--samples", "-5"],
+     {}, "--samples"),
+    (["render", "--quiver", "a3", "--format", "stats"],
+     {"MCF_SAMPLES": "0"}, "MCF_SAMPLES"),
+    (["enumerate", "--quiver", "a2", "--node-cap", "-1"], {}, "--node-cap"),
+    (["enumerate", "--quiver", "a2"], {"MCF_NODE_CAP": "0"}, "MCF_NODE_CAP"),
+    (["mgs", "--quiver", "a2", "--depth-cap", "0"], {}, "--depth-cap"),
+    (["dilog", "--quiver", "a2", "--truncate", "0"], {}, "--truncate"),
+    (["dilog", "--quiver", "a2", "--depth-cap", "0"], {}, "--depth-cap"),
+], ids=["samples-0", "samples-neg", "env-samples-0", "node-cap-neg",
+        "env-node-cap-0", "mgs-depth-cap-0", "truncate-0",
+        "dilog-depth-cap-0"])
+def test_non_positive_numbers_are_usage_errors(args, env, named, monkeypatch,
+                                               capsys):
+    monkeypatch.delenv("MCF_NODE_CAP", raising=False)
+    monkeypatch.delenv("MCF_SAMPLES", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and named in errors[0]
+    assert "Traceback" not in err
+
+
 def test_usage_errors():
     assert run_cli("polish", "--quiver", "a2").returncode == 2
     assert run_cli("enumerate").returncode == 2
@@ -186,4 +219,11 @@ def test_console_script_installed():
     proc = subprocess.run([exe, "walls", "--quiver", "a2"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+    assert json.loads(proc.stdout)["count"] == 3
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "mcfans", "walls",
+                           "--quiver", "a2"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["count"] == 3

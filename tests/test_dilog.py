@@ -1,16 +1,26 @@
 """Exact q-series coefficients, dilogarithm factors, product identities."""
 
+import json
 from collections import Counter
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mcfans import cli
 from mcfans.dilog import (Coeff, PairingForm, QSeries, check_pentagon,
                           check_square, coeff_one, dilog_series, lau_add,
                           lau_const, lau_monomial, lau_mul, dt_invariant_check,
-                          qseries_mul, qseries_one, qseries_prod)
-from mcfans.enumeration import MgsRecord, enumerate_mgs
+                          edge_invariant_check, qseries_mul, qseries_one,
+                          qseries_prod)
+from mcfans.enumeration import (ExchangeGraph, MgsRecord, canonical_key,
+                                enumerate_mgs, exchange_graph, first_mgs,
+                                green_path_counts)
 from mcfans.errors import FormMismatch, HypothesisViolated
-from mcfans.mutation import GradedVector, MutationContext
+from mcfans.mutation import (GradedVector, MutationContext, initial_state,
+                             mu_plus)
+from mcfans.seed import preset
 
 
 @pytest.fixture(scope="module")
@@ -193,3 +203,121 @@ def test_dt_needs_level_one(q2):
     ctx = MutationContext(q2, 2)
     with pytest.raises(ValueError):
         dt_invariant_check(ctx, [], truncation=4)
+
+
+def test_dt_refuses_valued_quiver(qb2):
+    # the untwisted E(y^alpha) with PairingForm(B0) needs a skew-symmetric
+    # B0; on b2 its products disagree without any failure of invariance
+    ctx = MutationContext(qb2, 1)
+    for cap in (4, 6, 8):
+        records = enumerate_mgs(ctx, cap).records
+        assert len(records) >= 2
+        with pytest.raises(HypothesisViolated):
+            dt_invariant_check(ctx, records, truncation=6)
+        graph = exchange_graph(ctx, depth_cap=cap)
+        first = first_mgs(ctx, green_path_counts(graph, cap), cap)
+        with pytest.raises(HypothesisViolated):
+            edge_invariant_check(ctx, graph, 6, first)
+
+
+def test_cli_dilog_refuses_valued_quiver(qb2, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "preset", lambda name: qb2)
+    assert cli.main(["dilog", "--quiver", "b2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "HypothesisViolated" in err
+
+
+# --- the per-edge check against the per-record oracle ---
+
+def _edge_check(ctx, cap, truncation):
+    """The dilog command's path: count by path DP, check once per edge."""
+    graph = exchange_graph(ctx, depth_cap=cap)
+    counts = green_path_counts(graph, cap)
+    first = first_mgs(ctx, counts, cap)
+    report = (edge_invariant_check(ctx, graph, truncation, first)
+              if first else None)
+    return counts.get((graph.initial, cap), 0), first, report
+
+
+def _assert_matches_oracle(name, cap, truncation):
+    ctx = MutationContext(preset(name), 1)
+    count, first, report = _edge_check(ctx, cap, truncation)
+    records = enumerate_mgs(ctx, cap).records
+    assert count == len(records), (name, cap)
+    if not records:
+        assert first is None
+        return
+    assert first.mutations == records[0].mutations
+    assert first.crossings == records[0].crossings
+    oracle = dt_invariant_check(ctx, records, truncation)
+    assert report.ok and oracle.ok, (name, cap, report.mismatches)
+    assert (json.dumps(report.series.to_json())
+            == json.dumps(oracle.series.to_json())), (name, cap)
+    # the reported series is P at the first sequence's terminal node
+    end = initial_state(ctx)
+    for k in first.mutations:
+        end = mu_plus(end, k)
+    assert report.series == report.products[canonical_key(end)]
+
+
+A4_ORIENTATIONS = ["a_n:" + "".join(o) for o in product("<>", repeat=3)]
+
+
+@pytest.mark.parametrize("name", A4_ORIENTATIONS)
+def test_edge_check_matches_records_a4(name):
+    for cap in range(4, 9):
+        _assert_matches_oracle(name, cap, truncation=3)
+
+
+def test_edge_check_matches_records_small():
+    for cap in range(1, 6):
+        _assert_matches_oracle("a2", cap, truncation=6)
+    for cap in range(3, 11):
+        _assert_matches_oracle("a3", cap, truncation=4)
+    for cap in range(3, 13):
+        _assert_matches_oracle("a2tilde", cap, truncation=4)
+
+
+def test_edge_check_matches_records_long():
+    _assert_matches_oracle("a_n:<><", 20, truncation=3)
+
+
+@settings(max_examples=10, deadline=None)
+@given(orientation=st.lists(st.sampled_from("<>"), min_size=1, max_size=3),
+       cap=st.integers(min_value=1, max_value=8),
+       truncation=st.integers(min_value=1, max_value=3))
+def test_edge_check_matches_records_random(orientation, cap, truncation):
+    _assert_matches_oracle("a_n:" + "".join(orientation), cap, truncation)
+
+
+def _corrupt_one_edge(graph):
+    """The graph with one edge relabelled to cross another column at its
+    source, chosen so that the edge does not define P at its target."""
+    seen = set()
+    for i, (u, w, k, p) in enumerate(graph.edges):
+        if w in seen:
+            other = next(j for j in range(1, len(graph.nodes[u].slopes) + 1)
+                         if j != k and graph.nodes[u].slopes[j - 1] == 0)
+            edges = list(graph.edges)
+            edges[i] = (u, w, other, p)
+            return (ExchangeGraph(graph.nodes, edges, graph.initial,
+                                  graph.terminals), (u, w, other))
+        seen.add(w)
+    raise AssertionError("every node has a single incoming edge")
+
+
+def test_edge_check_reports_the_corrupt_edge(q3, monkeypatch, capsys):
+    ctx = MutationContext(q3, 1)
+    graph, bad = _corrupt_one_edge(exchange_graph(ctx, depth_cap=10))
+    first = first_mgs(ctx, green_path_counts(graph, 10), 10)
+    report = edge_invariant_check(ctx, graph, 6, first)
+    assert report.mismatches == [bad]
+    assert not report.ok and report.series is None
+
+    monkeypatch.setattr(cli, "exchange_graph", lambda ctx, depth_cap: graph)
+    assert cli.main(["dilog", "--quiver", "a3", "--truncate", "6"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["ok"] is False and "series" not in data
+    assert data["count"] == 10
+    assert data["mismatches"] == [list(bad)]

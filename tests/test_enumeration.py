@@ -142,6 +142,24 @@ def test_node_cap(q2, q2t):
             _two_sided_closure(MutationContext(q2t, m), node_cap=50)
 
 
+def test_depth_cap(q2t, q3):
+    # the affine triangle's graph closes once BFS depth is capped
+    assert len(_graph(q2t, 1, depth_cap=80)) == 248
+    # a cap at the longest green path leaves a finite-type graph whole
+    full, capped = _graph(q3, 1), _graph(q3, 1, depth_cap=6)
+    assert capped.nodes.keys() == full.nodes.keys()
+    assert capped.edges == full.edges
+    # below it, the nodes are those within cap steps, and only they expand
+    g = _graph(q3, 1, depth_cap=2)
+    depth = {g.initial: 0}
+    for (u, v, _k, _p) in g.edges:
+        depth.setdefault(v, depth[u] + 1)
+    assert depth.keys() == g.nodes.keys() and max(depth.values()) == 2
+    assert all(depth[u] < 2 for (u, _v, _k, _p) in g.edges)
+    with pytest.raises(ValueError):
+        _graph(q3, 1, depth_cap=0)
+
+
 # --- canonical keys ---
 
 def test_canonical_key_permutation_invariance(q3):
