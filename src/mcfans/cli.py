@@ -28,6 +28,13 @@ from .verify import format_report, run_verification
 log = logging.getLogger("mcfans")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are one line on stderr."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _positive_int(text):
     """argparse type of the numeric flags and variables: an integer >= 1."""
     try:
@@ -93,14 +100,14 @@ def _cmd_enumerate(args, parser):
 
 def _cmd_mgs(args, parser):
     ctx = _context(args, parser)
+    cap = _resolve_int(args.node_cap, "MCF_NODE_CAP", None, parser)
     if args.longest:
-        cap = _resolve_int(args.node_cap, "MCF_NODE_CAP", None, parser)
         length = longest_mgs(ctx, node_cap=cap)
         _emit({"quiver": args.quiver, "m": args.m, "longest": length})
         return 0
     if args.depth_cap is None:
         parser.error("mgs needs --depth-cap (or --longest)")
-    result = enumerate_mgs(ctx, args.depth_cap)
+    result = enumerate_mgs(ctx, args.depth_cap, node_cap=cap)
     log.info("found %d sequences (truncated=%s)", len(result), result.truncated)
     payload = {"quiver": args.quiver, "m": args.m, "count": len(result)}
     payload.update(mgs_to_json(result))
@@ -202,7 +209,7 @@ def _add_quiver_m(sub, default_m=1):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mcfans",
         description="Slope-graded mutation, green sequences, stability fans "
                     "and dilogarithm identities in exact arithmetic.")

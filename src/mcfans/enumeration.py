@@ -142,39 +142,70 @@ class MgsResult:
         return len(self.records)
 
 
-def enumerate_mgs(ctx, depth_cap):
+def enumerate_mgs(ctx, depth_cap, node_cap=None):
     """All maximal positive-mutation sequences from the initial state that
-    terminate (all slopes = m) within depth_cap steps. Deterministic DFS,
-    ascending vertex index at every branch, on an explicit stack so the
-    depth is not bounded by Python's recursion limit."""
-    if depth_cap < 1:
-        raise ValueError("depth_cap must be >= 1")
-    records = []
-    truncated = False
+    terminate (all slopes = m) within depth_cap steps, in DFS order:
+    ascending vertex index at every branch.
+
+    Every such sequence is a green path of at most depth_cap steps, so the
+    listing works on exchange_graph(ctx, depth_cap=depth_cap): the walk
+    enters only branches that green_path_counts says can still end, and
+    truncated is true iff some non-terminal node is depth_cap or more steps
+    from the initial node along a green path.  Raises NodeCapExceeded if
+    the capped graph exceeds node_cap nodes.
+    """
+    graph = exchange_graph(ctx, node_cap=node_cap, depth_cap=depth_cap)
+    records = list(_walk_mgs(ctx, green_path_counts(graph, depth_cap),
+                             depth_cap))
+    terminals = set(graph.terminals)
+    truncated = any(d >= depth_cap for key, d in
+                    _longest_distances(graph).items() if key not in terminals)
+    return MgsResult(records, truncated)
+
+
+def _green_moves(st, memo):
+    """(k, next state, graded column crossed, terminal?, key of next) for
+    each green mutation of st, ascending k; computed once per state."""
+    label = (st.absC, st.slopes)
+    moves = memo.get(label)
+    if moves is None:
+        moves = memo[label] = []
+        for k in range(1, st.context.n + 1):
+            if st.slopes[k - 1] < st.context.m:
+                nxt = mu_plus(st, k)
+                moves.append((k, nxt, st.graded_column(k - 1),
+                              is_terminal(nxt), canonical_key(nxt)))
+    return moves
+
+
+def _walk_mgs(ctx, counts, depth_cap):
+    """Yield the records of enumerate_mgs in order, given
+    green_path_counts(graph, depth_cap).  DFS over concrete states on an
+    explicit stack, so the depth is not bounded by Python's recursion limit;
+    a move is entered only if its target still has a green path to a
+    terminal node within the steps left, so every branch ends in a record."""
+    memo = {}
     path, crossings = [], []  # path[d] leads from stack[d] to stack[d + 1]
-    stack = [(initial_state(ctx), iter(range(1, ctx.n + 1)))]
+    stack = [iter(_green_moves(initial_state(ctx), memo))]
     while stack:
-        st, ks = stack[-1]
-        k = next((k for k in ks if st.slopes[k - 1] < ctx.m), None)
-        if k is None:
+        left = depth_cap - len(stack)  # steps left after the next move
+        for k, nxt, column, terminal, key in stack[-1]:
+            if (key, left) in counts:
+                break
+        else:
             stack.pop()
             if stack:
                 path.pop()
                 crossings.pop()
             continue
-        nxt = mu_plus(st, k)
         path.append(k)
-        crossings.append(st.graded_column(k - 1))
-        if is_terminal(nxt):
-            records.append(MgsRecord(path, crossings))
-        elif len(path) >= depth_cap:
-            truncated = True
+        crossings.append(column)
+        if terminal:
+            yield MgsRecord(path, crossings)
+            path.pop()
+            crossings.pop()
         else:
-            stack.append((nxt, iter(range(1, ctx.n + 1))))
-            continue
-        path.pop()
-        crossings.pop()
-    return MgsResult(records, truncated)
+            stack.append(iter(_green_moves(nxt, memo)))
 
 
 def _successors(graph):
@@ -225,25 +256,9 @@ def green_path_counts(graph, depth_cap):
 
 def first_mgs(ctx, counts, depth_cap):
     """The first record of enumerate_mgs(ctx, depth_cap), or None if it lists
-    none, read off green_path_counts: from the initial state, mutate at the
-    smallest vertex whose successor still has a green path to a terminal
-    node within the steps left."""
-    st = initial_state(ctx)
-    if (canonical_key(st), depth_cap) not in counts:
-        return None
-    path, crossings = [], []
-    left = depth_cap
-    while not is_terminal(st):
-        left -= 1
-        for k in range(1, ctx.n + 1):
-            if st.slopes[k - 1] < ctx.m:
-                nxt = mu_plus(st, k)
-                if (canonical_key(nxt), left) in counts:
-                    break
-        path.append(k)
-        crossings.append(st.graded_column(k - 1))
-        st = nxt
-    return MgsRecord(path, crossings)
+    none, given green_path_counts(graph, depth_cap) for the graph capped at
+    depth_cap."""
+    return next(_walk_mgs(ctx, counts, depth_cap), None)
 
 
 def _toposort_green(graph):
@@ -266,23 +281,23 @@ def _toposort_green(graph):
     return order
 
 
+def _longest_distances(graph):
+    """Length of the longest green path from the initial node to each node."""
+    succ = _successors(graph)
+    dist = {graph.initial: 0}
+    for u in _toposort_green(graph):
+        for v in succ[u]:
+            dist[v] = max(dist.get(v, 0), dist[u] + 1)
+    return dist
+
+
 def longest_mgs(ctx, node_cap=None):
     """Length of the longest green path from the initial to a terminal node."""
     graph = exchange_graph(ctx, node_cap=node_cap)
-    order = _toposort_green(graph)
-    dist = {key: None for key in graph.nodes}
-    dist[graph.initial] = 0
-    succ = _successors(graph)
-    for u in order:
-        if dist[u] is None:
-            continue
-        for v in succ[u]:
-            if dist[v] is None or dist[v] < dist[u] + 1:
-                dist[v] = dist[u] + 1
-    best = [dist[t] for t in graph.terminals if dist[t] is not None]
-    if not best:
+    dist = _longest_distances(graph)
+    if not graph.terminals:
         raise ValueError("no terminal node reachable from the initial state")
-    return max(best)
+    return max(dist[t] for t in graph.terminals)
 
 
 def fan_components(graph, parity):

@@ -159,6 +159,17 @@ def test_node_cap_failure_exits_one():
     assert "NodeCapExceeded" in proc.stderr
 
 
+def test_mgs_node_cap_failure_exits_one():
+    proc = run_cli("mgs", "--quiver", "a2tilde", "--depth-cap", "50",
+                   "--node-cap", "10")
+    assert proc.returncode == 1 and proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert "NodeCapExceeded" in line
+    proc = run_cli("mgs", "--quiver", "a2tilde", "--depth-cap", "50",
+                   env_extra={"MCF_NODE_CAP": "10"})
+    assert proc.returncode == 1 and "NodeCapExceeded" in proc.stderr
+
+
 def test_env_node_cap():
     proc = run_cli("enumerate", "--quiver", "a2", "--m", "3",
                    env_extra={"MCF_NODE_CAP": "5"})
@@ -200,15 +211,19 @@ def test_non_positive_numbers_are_usage_errors(args, env, named, monkeypatch,
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    errors = [line for line in err.splitlines() if "error:" in line]
-    assert len(errors) == 1 and named in errors[0]
-    assert "Traceback" not in err
+    [line] = err.splitlines()
+    assert line.startswith("mcfans") and "error:" in line and named in line
 
 
 def test_usage_errors():
-    assert run_cli("polish", "--quiver", "a2").returncode == 2
-    assert run_cli("enumerate").returncode == 2
-    assert run_cli("enumerate", "--quiver", "d4").returncode == 2
+    for args in (["polish", "--quiver", "a2"], ["enumerate"],
+                 ["enumerate", "--quiver", "d4"], ["mgs", "--quiver", "a2"],
+                 ["dilog", "--quiver", "a2", "--truncate", "0"],
+                 ["render", "--quiver", "a3", "--samples", "0"]):
+        proc = run_cli(*args)
+        assert proc.returncode == 2 and proc.stdout == "", args
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("mcfans") and "error:" in line, args
 
 
 def test_console_script_installed():

@@ -1,16 +1,20 @@
 """Exchange graphs, maximal green sequences, edge parity, components."""
 
+import functools
 import inspect
 import json
 import sys
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies
 
+from mcfans import enumeration
 from mcfans.enumeration import (DEFAULT_NODE_CAP, canonical_key,
                                 classify_edge, enumerate_mgs, exchange_graph,
-                                fan_components, fuss_catalan, graph_to_json,
-                                longest_mgs, mgs_to_json)
+                                fan_components, first_mgs, fuss_catalan,
+                                graph_to_json, green_path_counts, longest_mgs,
+                                mgs_to_json)
 from mcfans.errors import NodeCapExceeded, NotInvertibleHere, SlopeAtMax
 from mcfans.mutation import (MutationContext, MutationState, initial_state,
                              mu_minus, mu_plus)
@@ -286,31 +290,96 @@ def test_mgs_affine(q2t):
 
 def _recursive_mgs(ctx, depth_cap):
     """Recursive DFS over green mutations, ascending vertex at every branch:
-    oracle for the record order and truncation flag of enumerate_mgs."""
-    found, truncated = [], False
+    oracle for the records (mutations and crossings) and truncation flag of
+    enumerate_mgs. ends(st, left) returns the (mutations, crossings) of the
+    green walks from st that reach a terminal state within left steps, in
+    DFS order, and whether some walk of left steps from st stops short of
+    one. It is cached on (st, left), which only saves repeated calls."""
 
-    def dfs(st, path):
-        nonlocal truncated
+    @functools.lru_cache(maxsize=None)
+    def ends(st, left):
         if all(s == ctx.m for s in st.slopes):
-            found.append(tuple(path))
-        elif len(path) >= depth_cap:
-            truncated = True
-        else:
-            for k in range(1, ctx.n + 1):
-                if st.slopes[k - 1] < ctx.m:
-                    dfs(mu_plus(st, k), path + [k])
+            return [((), ())], False
+        if left == 0:
+            return [], True
+        found, truncated = [], False
+        for k in range(1, ctx.n + 1):
+            if st.slopes[k - 1] < ctx.m:
+                rest, cut = ends(mu_plus(st, k), left - 1)
+                column = st.graded_column(k - 1)
+                found.extend(((k,) + ks, (column,) + cs) for ks, cs in rest)
+                truncated = truncated or cut
+        return found, truncated
 
-    dfs(initial_state(ctx), [])
-    return found, truncated
+    return ends(initial_state(ctx), depth_cap)
 
 
-@pytest.mark.parametrize("name,m,cap", [("a3", 2, 20), ("a_n:<><", 1, 12),
-                                        ("a2tilde", 1, 7), ("a2tilde", 2, 6)])
+def _records(res):
+    return [(r.mutations, r.crossings) for r in res.records]
+
+
+def _first(ctx, cap):
+    counts = green_path_counts(exchange_graph(ctx, depth_cap=cap), cap)
+    return first_mgs(ctx, counts, cap)
+
+
+MGS_ORACLE_CASES = list(dict.fromkeys(
+    [("a3", 2, 20), ("a_n:<><", 1, 12), ("a2tilde", 1, 7), ("a2tilde", 2, 6)]
+    + [("a3", 2, cap) for cap in range(1, 7)]
+    + [(name, 1, 10) for name in _orientations(4)]
+    + [("a2tilde", 1, cap) for cap in range(3, 13)]))
+
+
+@pytest.mark.parametrize("name,m,cap", MGS_ORACLE_CASES)
 def test_mgs_order_matches_recursive_dfs(name, m, cap):
     ctx = MutationContext(preset(name), m)
     res = enumerate_mgs(ctx, cap)
-    assert ([r.mutations for r in res.records], res.truncated) == \
-        _recursive_mgs(ctx, cap)
+    assert (_records(res), res.truncated) == _recursive_mgs(ctx, cap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=strategies.integers(min_value=2, max_value=4),
+       data=strategies.data(),
+       m=strategies.integers(min_value=1, max_value=3),
+       cap=strategies.integers(min_value=1, max_value=12))
+def test_mgs_matches_recursive_dfs_on_random_orientations(n, data, m, cap):
+    name = data.draw(strategies.sampled_from(_orientations(n)))
+    ctx = MutationContext(preset(name), m)
+    res = enumerate_mgs(ctx, cap)
+    assert (_records(res), res.truncated) == _recursive_mgs(ctx, cap)
+
+
+@pytest.mark.parametrize("name,m,cap", MGS_ORACLE_CASES)
+def test_first_mgs_is_the_first_record(name, m, cap):
+    ctx = MutationContext(preset(name), m)
+    first = _first(ctx, cap)
+    found = [] if first is None else [(first.mutations, first.crossings)]
+    assert found == _records(enumerate_mgs(ctx, cap))[:1]
+
+
+def test_first_mgs_none_when_nothing_ends(q2):
+    ctx = MutationContext(q2, 1)
+    assert len(enumerate_mgs(ctx, 1)) == 0
+    assert _first(ctx, 1) is None
+
+
+def test_mgs_skips_branches_that_cannot_end(q2t, monkeypatch):
+    # in the affine tube almost every green walk never ends; the parent
+    # listing walked all of them up to the cap, millions of mu_plus calls
+    ctx = MutationContext(q2t, 1)
+    expected = _records(enumerate_mgs(ctx, 10))
+    calls = 0
+
+    def counting_mu_plus(st, k):
+        nonlocal calls
+        calls += 1
+        assert calls <= 10000, "too many mu_plus calls"
+        return mu_plus(st, k)
+
+    monkeypatch.setattr(enumeration, "mu_plus", counting_mu_plus)
+    res = enumerate_mgs(ctx, 2000)
+    assert res.truncated and len(expected) == 5
+    assert _records(res) == expected
 
 
 def test_mgs_depth_not_bounded_by_recursion_limit(q2t):
