@@ -44,10 +44,6 @@ class NegativeExt(McfError):
     """hom - euler came out negative; the hom computation is inconsistent."""
 
 
-class TooLarge(McfError):
-    """Exhaustive subspace enumeration refused (total dimension too big)."""
-
-
 class DualBrickNotFound(McfError):
     """A chamber facet has no (unique) brick whose wall supports it."""
 

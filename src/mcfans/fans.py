@@ -7,7 +7,7 @@ whose brick walls assemble the fans.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 from .errors import DualityViolation, NotConfigurable
 from .finrep import indecomposables, is_exceptional_sequence, span_of, wall_of
@@ -40,12 +40,14 @@ class MConfiguration:
         except KeyError as e:
             raise NotConfigurable(f"dimension vector {e.args[0]} is not a root")
         self.ordering = None
-        slopes_sorted = sorted(s for (_d, s) in self.items)
-        for perm in permutations(range(len(self.items))):
-            if [self.items[j][1] for j in perm] != slopes_sorted:
-                continue
+        # slope-sorted orderings in lexicographic order: permute each block
+        # of equal slopes, blocks in ascending slope order
+        blocks = [[j for j, (_d, s) in enumerate(self.items) if s == slope]
+                  for slope in sorted({s for (_d, s) in self.items})]
+        for perms in product(*(permutations(b) for b in blocks)):
+            perm = sum(perms, ())
             if is_exceptional_sequence([mods[j] for j in perm]):
-                self.ordering = tuple(perm)
+                self.ordering = perm
                 break
         if self.ordering is None:
             raise NotConfigurable(

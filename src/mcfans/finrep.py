@@ -7,10 +7,10 @@ classes, the module-theoretic mutation oracle — is computed from the table.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 from .errors import (DualBrickNotFound, InconclusiveGenericity, NegativeExt,
-                     NotExceptionalSequence, TooLarge, UnsupportedType)
+                     NotExceptionalSequence, UnsupportedType)
 from .intmat import rank as mat_rank
 from .intmat import det, dot, left_nullspace, nullspace, solve
 from .seed import dim_of_g, euler_pairing, g_of_dim
@@ -68,6 +68,7 @@ class IndecTable:
                      for i, (dim, maps) in enumerate(reps_data)]
         self.by_dim = {r.dim: r for r in self.reps}
         self._hom_cache = {}
+        self._subdims_cache = {}
 
     def __iter__(self):
         return iter(self.reps)
@@ -95,11 +96,6 @@ class IndecTable:
 
 
 _TABLE_CACHE = {}
-
-
-def _arrows(q):
-    return [(i, j) for i in range(q.n) for j in range(q.n)
-            if i != j and q.euler[i][j] != 0]
 
 
 def _check_dynkin(q):
@@ -247,7 +243,7 @@ def indecomposables(q):
     if key in _TABLE_CACHE:
         return _TABLE_CACHE[key]
     cartan = _check_dynkin(q)
-    arrows = _arrows(q)
+    arrows = [(u, w) for (u, w, _) in q.arrows()]
     order = _sinks_first_order(q.n, arrows)
     roots = _positive_roots(cartan, q.n)
     reps_data = [_build_rep(q.n, arrows, cartan, order, r) for r in roots]
@@ -272,7 +268,7 @@ def hom_space(q, dims_x, maps_x, dims_y, maps_y):
     if total == 0:
         return []
     rows = []
-    for (u, w) in _arrows(q):
+    for (u, w, _) in q.arrows():
         a_x = maps_x[(u, w)]
         a_y = maps_y[(u, w)]
         # equation: Y_a phi_u - phi_w X_a = 0, entry (r, c): r < dims_y[w], c < dims_x[u]
@@ -333,88 +329,41 @@ def is_exceptional_sequence(seq):
 
 # --- submodules and walls ---
 
-def _modp_matrix(mat, p):
-    out = []
-    for row in mat:
-        new = []
-        for x in row:
-            f = Fraction(x)
-            if f.denominator % p == 0:
-                raise ValueError(f"denominator hits characteristic {p}")
-            new.append(f.numerator * pow(f.denominator, -1, p) % p)
-        out.append(tuple(new))
-    return tuple(out)
+def submodule_dims(m):
+    """Dimension vectors of the indecomposable proper nonzero
+    subrepresentations of m.
 
-
-def _subspaces(d, p):
-    """All subspaces of F_p^d as echelon bases: (pivot_cols, rows)."""
-    spaces = [((), ())]
-    for k in range(1, d + 1):
-        for pivots in combinations(range(d), k):
-            free_slots = []
-            for r, pc in enumerate(pivots):
-                for c in range(d):
-                    if c > pc and c not in pivots:
-                        free_slots.append((r, c))
-            for filling in product(range(p), repeat=len(free_slots)):
-                rows = [[0] * d for _ in range(k)]
-                for r, pc in enumerate(pivots):
-                    rows[r][pc] = 1
-                for (slot, val) in zip(free_slots, filling):
-                    rows[slot[0]][slot[1]] = val
-                spaces.append((pivots, tuple(tuple(r) for r in rows)))
-    return spaces
-
-
-def _reduce_modp(vec, pivots, rows, p):
-    v = list(vec)
-    for r, pc in enumerate(pivots):
-        if v[pc] % p:
-            coef = v[pc] % p
-            v = [(a - coef * b) % p for a, b in zip(v, rows[r])]
-    return v
-
-
-def submodule_dims(m, _char=2):
-    """Dimension vectors of all proper nonzero subrepresentations of m.
-
-    Exhaustive subspace search over a small prime field; guarded by TooLarge
-    for total dimension > 12.
+    Every subrepresentation is a direct sum of indecomposable ones, so these
+    vectors cut out the same <= 0 cone as all subdimension vectors. m is
+    exceptional, hence general of its dimension d, so a root b embeds iff
+    ext(b, d - b) = 0 (Schofield, General representations of quivers, 1992,
+    Thm 3.3). By Thm 5.4 that holds iff <c, d - b> >= 0 for c = b and for
+    every c that embeds into the indecomposable of dimension b.
     """
     m = _as_rep(m)
-    q = m.table.quiver
-    if sum(m.dim) > 12:
-        raise TooLarge(f"total dimension {sum(m.dim)} exceeds the guard (12)")
-    p = _char
-    arrows = _arrows(q)
-    mats = {a: _modp_matrix(m.maps[a], p) for a in arrows}
-    per_vertex = [_subspaces(m.dim[v], p) for v in range(q.n)]
-    found = set()
-    for combo in product(*per_vertex):
-        dims = tuple(len(rows) for (_piv, rows) in combo)
-        if dims == m.dim or all(x == 0 for x in dims):
-            continue
-        ok = True
-        for (u, w) in arrows:
-            piv_w, rows_w = combo[w]
-            _piv_u, rows_u = combo[u]
-            mat = mats[(u, w)]
-            for b in rows_u:
-                img = [sum(mat[r][c] * b[c] for c in range(m.dim[u])) % p
-                       for r in range(m.dim[w])]
-                if any(x % p for x in _reduce_modp(img, piv_w, rows_w, p)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.add(dims)
-    return found
+    return set(_indec_subdims(m.table, m.dim))
+
+
+def _indec_subdims(table, d):
+    """submodule_dims of the indecomposable of dimension d, memoized."""
+    if d not in table._subdims_cache:
+        q = table.quiver
+        found = []
+        for b in table.by_dim:
+            if b == d or any(x > y for x, y in zip(b, d)):
+                continue
+            rest = tuple(y - x for x, y in zip(b, d))
+            if all(euler_pairing(q, c, rest) >= 0
+                   for c in (b, *_indec_subdims(table, b))):
+                found.append(b)
+        table._subdims_cache[d] = frozenset(found)
+    return table._subdims_cache[d]
 
 
 class Wall:
     """Stability wall of a module: normal = its dimension vector, plus the
-    dimension vectors of proper nonzero submodules (the <= 0 inequalities)."""
+    dimension vectors of its indecomposable proper nonzero submodules (the
+    <= 0 inequalities; every submodule is a sum of these)."""
 
     __slots__ = ("normal", "subdims")
 
@@ -695,7 +644,7 @@ def extension_middle(a, b):
     q = table.quiver
     if ext_dim(a, b) == 0:
         raise ValueError("the pair has no nonsplit extension")
-    arrows = _arrows(q)
+    arrows = [(u, w) for (u, w, _) in q.arrows()]
     # coboundary image: delta(phi)_(u,w) = B_(u,w) phi_u - phi_w A_(u,w)
     slots = [(arr, r, c) for arr in arrows
              for r in range(b.dim[arr[1]]) for c in range(a.dim[arr[0]])]
@@ -747,7 +696,7 @@ def quotient_summand_dims(z):
         raise ValueError("quotient oracle only handles multiplicity-free reps")
     q = z.table.quiver
     supp = frozenset(v for v in range(q.n) if z.dim[v])
-    live = [(u, w) for (u, w) in _arrows(q)
+    live = [(u, w) for (u, w, _) in q.arrows()
             if u in supp and w in supp and any(any(x != 0 for x in row)
                                                for row in z.maps[(u, w)])]
     out = set()
@@ -824,8 +773,11 @@ def generic_ext(table, a, b):
 
 
 def generic_subdims(m):
-    """Subrepresentation dimension vectors predicted by the generic-extension
-    criterion; must equal submodule_dims for rigid modules."""
+    """Dimension vectors of all proper nonzero subrepresentations of a rigid
+    m, by the generic-extension criterion ext(b, dim m - b) = 0 over every
+    vector b, each ext from canonical decompositions. An independent oracle:
+    its roots are exactly submodule_dims(m), and its other vectors are sums
+    of those."""
     m = _as_rep(m)
     table = m.table
     d = m.dim

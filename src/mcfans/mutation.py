@@ -7,8 +7,6 @@ columns are (-1)^{s_j} |c_j|.  mu_plus raises the slope at one vertex and
 fires the neighbouring columns; mu_minus is its exact inverse.
 """
 
-from itertools import product
-
 from . import seed as seedmod
 from .errors import NotInvertibleHere, SignIncoherence, SlopeAtMax, SlopeAtMin
 from .intmat import det, dot
@@ -171,9 +169,11 @@ def mu_minus(st, k):
     """Inverse mutation at vertex k (1-based).
 
     The old B row at k is the negated current row (a consequence of the
-    B-consistency invariant), which pins the preimage columns up to one
-    two-way ambiguity per column; every candidate is round-tripped through
-    mu_plus and the one that reproduces st is returned.
+    B-consistency invariant). A column j at slope sigma = s_k - 1 either kept
+    its slope (old = new - b*c_k, then >= 0) or dropped to it (old =
+    b*c_k - new at slope sigma + 1); at most one of the two is nonnegative
+    and nonzero, so the preimage is unique. It is round-tripped through
+    mu_plus once before it is returned.
     """
     ctx = st.context
     n = ctx.n
@@ -184,44 +184,33 @@ def mu_minus(st, k):
         raise SlopeAtMin(f"slope at vertex {k} is already 0")
     sigma = st.slopes[kk] - 1
     cols = [list(st.column(j)) for j in range(n)]
+    slopes = list(st.slopes)
     ck = cols[kk]
     bk = _b_row(st, kk)
-    choices = []
+    slopes[kk] = sigma
     for j in range(n):
-        if j == kk:
-            choices.append([(ck, sigma)])
-            continue
-        sj = st.slopes[j]
         b = -bk[j]
-        if b <= 0 or sj not in (sigma, sigma + 1):
-            choices.append([(cols[j], sj)])
+        if j == kk or b <= 0:
             continue
-        if sj == sigma + 1:
-            old = [x + b * y for x, y in zip(cols[j], ck)]
-            choices.append([(old, sj)])
-            continue
-        # sj == sigma: the column either kept its slope (same-slope firing,
-        # old = new - b*ck) or dropped to it (old = b*ck - new at slope sigma+1)
-        cand = []
-        w = [x - b * y for x, y in zip(cols[j], ck)]
-        if all(x >= 0 for x in w) and any(x > 0 for x in w):
-            cand.append((w, sigma))
-        v = [-x for x in w]
-        if all(x >= 0 for x in v) and any(x > 0 for x in v):
-            cand.append((v, sigma + 1))
-        if not cand:
-            raise NotInvertibleHere(
-                f"no admissible preimage column {j + 1} under mu_minus at {k}")
-        choices.append(cand)
-    for combo in product(*choices):
-        candidate = MutationState(ctx, zip(*(c[0] for c in combo)),
-                                  (c[1] for c in combo))
-        try:
-            # candidate.B raises ValueError unless the derived B is integral
-            if mu_plus(candidate, k) == st and candidate.B:
-                return candidate
-        except (ValueError, SlopeAtMax, SignIncoherence):
-            continue
+        if slopes[j] == sigma + 1:
+            cols[j] = [x + b * y for x, y in zip(cols[j], ck)]
+        elif slopes[j] == sigma:
+            w = [x - b * y for x, y in zip(cols[j], ck)]
+            if all(x >= 0 for x in w) and any(x > 0 for x in w):
+                cols[j] = w
+            elif all(x <= 0 for x in w) and any(x < 0 for x in w):
+                cols[j] = [-x for x in w]
+                slopes[j] = sigma + 1
+            else:
+                raise NotInvertibleHere(
+                    f"no admissible preimage column {j + 1} under mu_minus at {k}")
+    candidate = MutationState(ctx, zip(*cols), slopes)
+    try:
+        # candidate.B raises ValueError unless the derived B is integral
+        if mu_plus(candidate, k) == st and candidate.B:
+            return candidate
+    except (ValueError, SlopeAtMax, SignIncoherence):
+        pass
     raise NotInvertibleHere(f"no preimage of the state round-trips at vertex {k}")
 
 

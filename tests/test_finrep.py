@@ -1,9 +1,11 @@
 """Indecomposables, hom/ext, walls, torsion classes, module oracles."""
 
+from itertools import product
+
 import pytest
 
 from mcfans.enumeration import exchange_graph
-from mcfans.errors import (NotExceptionalSequence, TooLarge, UnsupportedType)
+from mcfans.errors import (NotExceptionalSequence, UnsupportedType)
 from mcfans.finrep import (ShiftedProjective, Wall, canonical_decomposition,
                            check_wall_membership, ext_dim, extension_middle,
                            generic_subdims, hom_dim, indecomposables,
@@ -91,17 +93,31 @@ def test_exceptional_sequences(table2, table3):
 def test_submodule_dims(table2, table3):
     assert submodule_dims(table2.projective(2)) == {(1, 0)}
     assert submodule_dims(table2.simple(1)) == set()
-    p2 = table3.projective(2)
-    assert submodule_dims(p2) == {(1, 0, 0), (0, 0, 1), (1, 0, 1)}
-    # prime-independence spot check
-    assert submodule_dims(p2, _char=3) == submodule_dims(p2)
+    # P2 also contains S1 + S3 = (1,0,1), which is not indecomposable
+    assert submodule_dims(table3.projective(2)) == {(1, 0, 0), (0, 0, 1)}
 
 
 def test_submodule_guard():
-    q13 = preset("a_n:" + "<" * 12)
-    table = indecomposables(q13)
-    with pytest.raises(TooLarge):
-        submodule_dims(table.by_dim[tuple([1] * 13)])
+    # closed form: with every arrow i+1 -> i the subrepresentations of the
+    # top root are exactly its initial segments, whatever its dimension
+    table = indecomposables(preset("a_n:" + "<" * 12))
+    assert submodule_dims(table.by_dim[(1,) * 13]) == {
+        (1,) * k + (0,) * (13 - k) for k in range(1, 13)}
+
+
+def test_e7_walls():
+    # e7: the chain 0-...-5 with vertex 6 on 2, arrows alternating; its
+    # largest root has total dimension 17
+    table = indecomposables(_quiver(7, [(0, 1), (2, 1), (2, 3), (4, 3),
+                                        (4, 5), (6, 2)]))
+    assert len(table) == 63
+    roots = set(table.by_dim)
+    for m in table:
+        w = wall_of(m)
+        assert w.normal == m.dim
+        for d in w.subdims:
+            assert d in roots and d != m.dim
+            assert all(x <= y for x, y in zip(d, m.dim))
 
 
 def test_wall_of(table2):
@@ -234,9 +250,42 @@ def test_canonical_decomposition(table2):
     assert canonical_decomposition(table2, (1, 2)) == [(1, 1), (0, 1)]
 
 
-def test_generic_subdims_match(table3):
-    for m in table3:
-        assert generic_subdims(m) == submodule_dims(m)
+def _quiver(n, arrows):
+    """The quiver on vertices 0..n-1 with the given (source, target) arrows."""
+    e = [[int(i == j) for j in range(n)] for i in range(n)]
+    for (u, w) in arrows:
+        e[u][w] = -1
+    return ValuedQuiver(n, tuple(map(tuple, e)))
+
+
+def _sums(vectors, bound):
+    """All nonzero sums of vectors (with repetition) that stay <= bound."""
+    out, stack = set(), [(0,) * len(bound)]
+    while stack:
+        s = stack.pop()
+        for v in vectors:
+            t = tuple(x + y for x, y in zip(s, v))
+            if t not in out and all(x <= y for x, y in zip(t, bound)):
+                out.add(t)
+                stack.append(t)
+    return out
+
+
+def test_generic_subdims_match():
+    quivers = [preset("a_n:" + "".join(o))
+               for n in (3, 4) for o in product("<>", repeat=n - 1)]
+    quivers.append(_quiver(4, [(0, 1), (0, 2), (0, 3)]))  # d4
+    # d5 in an orientation where <b, dim m - b> >= 0 alone admits a root
+    # (0,1,1,1,1) that does not embed into (1,1,2,1,1)
+    quivers.append(_quiver(5, [(1, 0), (2, 1), (2, 3), (2, 4)]))
+    for q in quivers:
+        table = indecomposables(q)
+        roots = set(table.by_dim)
+        for m in table:
+            generic, subs = generic_subdims(m), submodule_dims(m)
+            assert generic & roots == subs
+            # same <= 0 cone: every subdimension is a sum of indecomposable ones
+            assert generic <= _sums(subs, m.dim)
 
 
 # --- wall restriction under arrow deletion ---
