@@ -16,7 +16,7 @@ from fractions import Fraction
 from .dilog import edge_invariant_check
 from .enumeration import (enumerate_mgs, exchange_graph, fan_components,
                           first_mgs, graph_to_json, green_path_counts,
-                          longest_mgs, mgs_to_json)
+                          longest_mgs, mgs_to_json, mgs_truncated)
 from .errors import McfError
 from .fans import configuration_of_state, horizontal_algebra, vertical_algebra
 from .finrep import indecomposables, wall_of
@@ -107,6 +107,13 @@ def _cmd_mgs(args, parser):
         return 0
     if args.depth_cap is None:
         parser.error("mgs needs --depth-cap (or --longest)")
+    if args.count:
+        graph = exchange_graph(ctx, node_cap=cap, depth_cap=args.depth_cap)
+        counts = green_path_counts(graph, args.depth_cap)
+        _emit({"quiver": args.quiver, "m": args.m,
+               "count": counts.get((graph.initial, args.depth_cap), 0),
+               "truncated": mgs_truncated(graph, args.depth_cap)})
+        return 0
     result = enumerate_mgs(ctx, args.depth_cap, node_cap=cap)
     log.info("found %d sequences (truncated=%s)", len(result), result.truncated)
     payload = {"quiver": args.quiver, "m": args.m, "count": len(result)}
@@ -224,8 +231,12 @@ def build_parser():
     p = subs.add_parser("mgs", help="maximal green sequences")
     _add_quiver_m(p)
     p.add_argument("--depth-cap", type=_positive_int, help="search depth bound")
-    p.add_argument("--longest", action="store_true",
-                   help="emit only the longest sequence length")
+    only = p.add_mutually_exclusive_group()
+    only.add_argument("--longest", action="store_true",
+                      help="emit only the longest sequence length")
+    only.add_argument("--count", action="store_true",
+                      help="emit only the count and truncated flag, without "
+                           "listing the sequences (needs --depth-cap)")
     p.add_argument("--node-cap", type=_positive_int,
                    help="abort past this many states")
     p.set_defaults(fn=_cmd_mgs)

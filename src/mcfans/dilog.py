@@ -48,6 +48,7 @@ def lau_mul(a, b):
 # --- denominators: Counter {i: mult} for prod (q^i - 1)^mult, q = v^2 ---
 
 _DEN_CACHE = {}
+_DEN_CACHE_SIZE = 4096  # entries; the oldest is evicted first
 
 
 def _den_expand(den):
@@ -60,6 +61,8 @@ def _den_expand(den):
         factor = lau_add(lau_monomial(2 * i), lau_const(-1))
         for _ in range(mult):
             out = lau_mul(out, factor)
+    if len(_DEN_CACHE) >= _DEN_CACHE_SIZE:
+        del _DEN_CACHE[next(iter(_DEN_CACHE))]
     _DEN_CACHE[key] = out
     return out
 

@@ -157,10 +157,15 @@ def enumerate_mgs(ctx, depth_cap, node_cap=None):
     graph = exchange_graph(ctx, node_cap=node_cap, depth_cap=depth_cap)
     records = list(_walk_mgs(ctx, green_path_counts(graph, depth_cap),
                              depth_cap))
+    return MgsResult(records, mgs_truncated(graph, depth_cap))
+
+
+def mgs_truncated(graph, depth_cap):
+    """Whether some non-terminal node of the graph is depth_cap or more
+    steps from the initial node along a green path."""
     terminals = set(graph.terminals)
-    truncated = any(d >= depth_cap for key, d in
-                    _longest_distances(graph).items() if key not in terminals)
-    return MgsResult(records, truncated)
+    return any(d >= depth_cap for key, d in
+               _longest_distances(graph).items() if key not in terminals)
 
 
 def _green_moves(st, memo):

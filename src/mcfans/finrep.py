@@ -96,6 +96,7 @@ class IndecTable:
 
 
 _TABLE_CACHE = {}
+_TABLE_CACHE_SIZE = 32  # quivers; the oldest table is evicted first
 
 
 def _check_dynkin(q):
@@ -251,6 +252,8 @@ def indecomposables(q):
     for r in table:
         if table.hom(r, r) != 1:
             raise AssertionError(f"rep at {r.dim} is not Schurian")
+    if len(_TABLE_CACHE) >= _TABLE_CACHE_SIZE:
+        del _TABLE_CACHE[next(iter(_TABLE_CACHE))]
     _TABLE_CACHE[key] = table
     return table
 

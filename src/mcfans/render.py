@@ -1,9 +1,10 @@
 """Deterministic SVG pictures of wall arrangements.
 
 Rank 2 draws rays from the origin inside a unit circle; rank 3 samples each
-wall's great circle with exact rational points (so every inequality test is
-exact), then stereographically projects to the plane. All float formatting is
-fixed-precision, so identical inputs give byte-identical SVG.
+wall's great circle at integer points, scaled by 2^20 (so every inequality
+test is exact integer arithmetic), then stereographically projects to the
+plane. All float formatting is fixed-precision, so identical inputs give
+byte-identical SVG.
 """
 
 import math
@@ -12,19 +13,12 @@ from fractions import Fraction
 from .errors import PoleOnWall, UnsupportedRank
 from .intmat import dot
 
-# fixed aesthetic rotation: Ry(3-4-5) * Rx(5-12-13), exact and orthogonal
-_DEFAULT_ROTATION = (
-    (Fraction(4, 5), Fraction(3, 13), Fraction(36, 65)),
-    (Fraction(0), Fraction(12, 13), Fraction(-5, 13)),
-    (Fraction(-3, 5), Fraction(4, 13), Fraction(48, 65)),
-)
+# fixed aesthetic rotation R = Ry(3-4-5) * Rx(5-12-13), exact and
+# orthogonal, as (den, den * R) with den = 65 its common denominator
+_DEFAULT_ROTATION = (65, ((52, 15, 36), (0, 60, -25), (-39, 20, 48)))
 
 _COS_DENOM = 1 << 20
 DEFAULT_SAMPLES = 720
-
-
-def _frac_vec(v):
-    return tuple(Fraction(x) for x in v)
 
 
 def _cross(a, b):
@@ -38,51 +32,44 @@ def _mat_vec(m, v):
 
 
 def _rotation_for_pole(pole):
-    """Exact orthogonal map sending the pole to (0,0,1) (Householder)."""
+    """Exact orthogonal R sending the pole to (0,0,1) (Householder), as
+    (den, den * R): den is the least common denominator of R's entries, so
+    den * R is an integer matrix."""
     if pole is None:
         return _DEFAULT_ROTATION
-    p = _frac_vec(pole)
+    p = tuple(Fraction(x) for x in pole)
     if len(p) != 3 or all(x == 0 for x in p):
         raise ValueError("pole must be a nonzero 3-vector")
-    e3 = (Fraction(0), Fraction(0), Fraction(1))
-    w = tuple(x - y for x, y in zip(p, e3))
+    w = (p[0], p[1], p[2] - 1)
     ww = dot(w, w)
     if ww == 0:
-        return tuple(tuple(Fraction(1 if i == j else 0) for j in range(3))
-                     for i in range(3))
-    norm2 = dot(p, p)
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            val = Fraction(1 if i == j else 0) - 2 * w[i] * w[j] / ww
-            row.append(val)
-        rows.append(tuple(row))
+        return 1, ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    rows = tuple(tuple((i == j) - 2 * w[i] * w[j] / ww for j in range(3))
+                 for i in range(3))
     # scale-invariance: Householder sends p/|p| to e3 only for unit p; verify
     img = _mat_vec(rows, p)
     if not (img[0] == 0 and img[1] == 0 and img[2] > 0):
         raise ValueError("pole must have rational unit length "
-                         f"(|pole|^2 = {norm2})")
-    return tuple(rows)
+                         f"(|pole|^2 = {dot(p, p)})")
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return den, tuple(tuple(int(x * den) for x in row) for row in rows)
 
 
 def _plane_basis(normal):
-    """Two exact rational vectors spanning normal^perp."""
-    n = _frac_vec(normal)
-    axis = min(range(3), key=lambda i: abs(n[i]))
-    e = tuple(Fraction(1 if i == axis else 0) for i in range(3))
-    u = _cross(n, e)
-    v = _cross(n, u)
-    return u, v
+    """Two integer vectors spanning normal^perp, for an integral normal."""
+    axis = min(range(3), key=lambda i: abs(normal[i]))
+    e = tuple(int(i == axis) for i in range(3))
+    u = _cross(normal, e)
+    return u, _cross(normal, u)
 
 
 def _circle_samples(samples):
+    """Integer pairs (C, S): sample t of the unit circle is (C, S) / 2^20."""
     out = []
     for t in range(samples):
         theta = 2.0 * math.pi * t / samples
-        c = Fraction(round(math.cos(theta) * _COS_DENOM), _COS_DENOM)
-        s = Fraction(round(math.sin(theta) * _COS_DENOM), _COS_DENOM)
-        out.append((c, s))
+        out.append((round(math.cos(theta) * _COS_DENOM),
+                    round(math.sin(theta) * _COS_DENOM)))
     return out
 
 
@@ -109,35 +96,34 @@ def _runs_cyclic(kept):
 def project_wall(w, pole=None, samples=DEFAULT_SAMPLES):
     """Polylines of the wall's spherical arcs, stereographically projected.
 
-    Sample points lie exactly on the wall's hyperplane and pass its
-    inequalities exactly; only the final projection uses floats.
+    Sample (C, S) is the integer point p = C*u + S*v of the wall's plane, so
+    p . d = C (u . d) + S (v . d) tests each inequality exactly in integers.
+    The rotated point is (den R) p / (den 2^20); each coordinate is one
+    correctly rounded int/int division, and only the projection after it
+    uses floats.
     """
     normal = tuple(w.normal)
     if len(normal) != 3:
         raise UnsupportedRank("projection needs rank 3")
-    rot = _rotation_for_pole(pole)
+    den, rot = _rotation_for_pole(pole)
     # the effective pole in wall coordinates is R^t e3 = third row of R^t
-    eff_pole = tuple(rot[2])
-    if dot(_frac_vec(normal), eff_pole) == 0:
+    if dot(normal, rot[2]) == 0:
         raise PoleOnWall(f"projection pole lies on the wall of {normal}")
     u, v = _plane_basis(normal)
-    subdims = [_frac_vec(d) for d in sorted(w.subdims)]
+    tests = [(dot(u, d), dot(v, d)) for d in w.subdims]
     pts = _circle_samples(samples)
-    kept = []
-    coords = []
-    for (c, s) in pts:
-        p = tuple(c * ux + s * vx for ux, vx in zip(u, v))
-        kept.append(all(dot(p, d) <= 0 for d in subdims))
-        coords.append(p)
+    kept = [all(c * du + s * dv <= 0 for du, dv in tests) for c, s in pts]
     runs, closed = _runs_cyclic(kept)
+    rot_uv = tuple(zip(_mat_vec(rot, u), _mat_vec(rot, v)))
+    scale = den * _COS_DENOM
     polylines = []
     for run in runs:
         if len(run) < 2:
             continue
         line = []
         for i in run:
-            q = _mat_vec(rot, coords[i])
-            qf = (float(q[0]), float(q[1]), float(q[2]))
+            c, s = pts[i]
+            qf = [(c * a + s * b) / scale for a, b in rot_uv]
             norm = math.sqrt(qf[0] ** 2 + qf[1] ** 2 + qf[2] ** 2)
             x, y, z = qf[0] / norm, qf[1] / norm, qf[2] / norm
             line.append((x / (1.0 - z), y / (1.0 - z)))

@@ -61,6 +61,38 @@ def test_mgs_longest():
 def test_mgs_needs_depth_cap():
     proc = run_cli("mgs", "--quiver", "a2")
     assert proc.returncode == 2
+    proc = run_cli("mgs", "--quiver", "a2", "--count")
+    assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("quiver,m,cap,count,truncated", [
+    ("a_n:<><", 1, 20, 179, False),
+    ("a3", 2, 20, 342, False),
+    ("a2tilde", 1, 10, 5, True),
+])
+def test_mgs_count(quiver, m, cap, count, truncated, capsys):
+    from mcfans.enumeration import enumerate_mgs
+    from mcfans.mutation import MutationContext
+    from mcfans.seed import preset
+    assert main(["mgs", "--quiver", quiver, "--m", str(m),
+                 "--depth-cap", str(cap), "--count"]) == 0
+    out = capsys.readouterr().out
+    result = enumerate_mgs(MutationContext(preset(quiver), m), cap)
+    assert out == json.dumps({"count": len(result), "m": m, "quiver": quiver,
+                              "truncated": result.truncated},
+                             indent=2) + "\n"
+    assert (len(result), result.truncated) == (count, truncated)
+
+
+def test_mgs_count_excludes_longest(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["mgs", "--quiver", "a3", "--depth-cap", "5", "--count",
+              "--longest"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("mcfans") and "--count" in line
 
 
 # --- fans ---

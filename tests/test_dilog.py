@@ -39,6 +39,21 @@ def test_lau_basics():
 
 # --- coefficients ---
 
+def test_den_cache_is_bounded(monkeypatch):
+    import mcfans.dilog as dilog
+    monkeypatch.setattr(dilog, "_DEN_CACHE", {})
+    bound = dilog._DEN_CACHE_SIZE
+    for i in range(1, bound + 51):
+        # prod (q^i - 1) at v = 2, so q = 4
+        out = dilog._den_expand({i: 1})
+        assert sum(c * 2 ** p for p, c in out.items()) == 4 ** i - 1
+        assert len(dilog._DEN_CACHE) <= bound
+    assert ((1, 1),) not in dilog._DEN_CACHE        # evicted first
+    assert dilog._den_expand(Counter({1: 2, 3: 1})) == \
+        lau_mul(lau_mul(dilog._den_expand({1: 1}), dilog._den_expand({1: 1})),
+                dilog._den_expand({3: 1}))
+
+
 def test_coeff_add():
     half = Coeff({0: 1}, {1: 1})          # 1/(q-1)
     two = half + half

@@ -30,6 +30,27 @@ def test_table_is_cached(q2, table2):
     assert indecomposables(q2) is table2
 
 
+def test_table_cache_is_bounded(monkeypatch):
+    import mcfans.finrep as finrep
+    monkeypatch.setattr(finrep, "_TABLE_CACHE", {})
+    monkeypatch.setattr(finrep, "_TABLE_CACHE_SIZE", 3)
+    names = ["a_n:<<", "a_n:<>", "a_n:><", "a_n:>>", "a_n:<", "a_n:>"]
+    first = [wall_of(r) for r in indecomposables(preset(names[0]))]
+    for name in names:
+        q = preset(name)
+        table = indecomposables(q)
+        assert len(finrep._TABLE_CACHE) <= 3
+        assert q.key() in finrep._TABLE_CACHE
+        # type A: one indecomposable per interval of vertices
+        n = q.n
+        assert set(table.by_dim) == {
+            tuple(int(i <= k <= j) for k in range(n))
+            for i in range(n) for j in range(i, n)}
+    q = preset(names[0])
+    assert q.key() not in finrep._TABLE_CACHE       # evicted first
+    assert [wall_of(r) for r in indecomposables(q)] == first
+
+
 def test_projectives_and_simples(table2, table3):
     assert table2.projective(1).dim == (1, 0)
     assert table2.projective(2).dim == (1, 1)
