@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .dilog import edge_invariant_check
 from .enumeration import (enumerate_mgs, exchange_graph, fan_components,
-                          first_mgs, graph_to_json, green_path_counts,
-                          longest_mgs, mgs_to_json, mgs_truncated)
+                          graph_to_json, green_path_counts, longest_mgs,
+                          mgs_to_json, mgs_truncated)
 from .errors import McfError
 from .fans import configuration_of_state, horizontal_algebra, vertical_algebra
 from .finrep import indecomposables, wall_of
@@ -71,11 +71,15 @@ def _parse_pole(text, parser):
         parser.error(f"--pole components must be rationals, got {text!r}")
 
 
-def _context(args, parser):
+def _quiver(args, parser):
     try:
-        q = preset(args.quiver)
+        return preset(args.quiver)
     except ValueError as exc:
         parser.error(str(exc))
+
+
+def _context(args, parser):
+    q = _quiver(args, parser)
     try:
         return MutationContext(q, args.m)
     except ValueError as exc:
@@ -148,10 +152,7 @@ def _cmd_fans(args, parser):
 
 
 def _cmd_walls(args, parser):
-    try:
-        q = preset(args.quiver)
-    except ValueError as exc:
-        parser.error(str(exc))
+    q = _quiver(args, parser)
     walls = [wall_of(r) for r in indecomposables(q).reps]
     _emit({"quiver": args.quiver, "count": len(walls),
            "walls": [w.to_json() for w in walls]})
@@ -159,10 +160,7 @@ def _cmd_walls(args, parser):
 
 
 def _cmd_render(args, parser):
-    try:
-        q = preset(args.quiver)
-    except ValueError as exc:
-        parser.error(str(exc))
+    q = _quiver(args, parser)
     samples = _resolve_int(args.samples, "MCF_SAMPLES", DEFAULT_SAMPLES, parser)
     pole = _parse_pole(args.pole, parser)
     walls = [wall_of(r) for r in indecomposables(q).reps]
@@ -187,8 +185,7 @@ def _cmd_dilog(args, parser):
     count = counts.get((graph.initial, cap), 0)
     if not count:
         parser.error("no green sequences found within the depth cap")
-    report = edge_invariant_check(ctx, graph, args.truncate,
-                                  first_mgs(ctx, counts, cap))
+    report = edge_invariant_check(ctx, graph, args.truncate)
     payload = {
         "quiver": args.quiver, "m": args.m, "truncation": args.truncate,
         "count": count, "ok": report.ok,
@@ -288,7 +285,7 @@ def main(argv=None):
     except McfError as exc:
         sys.stderr.write(f"mcfans: {type(exc).__name__}: {exc}\n")
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"mcfans: {exc}\n")
         return 1
 

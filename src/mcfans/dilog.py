@@ -1,9 +1,11 @@
 """Truncated quantum-torus series and quantum dilogarithm identities.
 
-Coefficients are exact rational functions in v = q^(1/2): an integer Laurent
-polynomial numerator over a denominator kept as a multiset of (q^i - 1)
-factors. Series terms live on exponent vectors with total degree <= the
-truncation bound.
+Coefficients are exact rational functions in v = q^(1/2). The term on
+y^gamma, |gamma| <= the truncation bound, is an integer Laurent numerator in v
+over the fixed denominator (q)_|gamma| = prod_{i<=|gamma|} (q^i - 1): products
+stay over it since (q)_{a+b} / ((q)_a (q)_b) is a Gaussian binomial, a
+polynomial in q (Andrews, The Theory of Partitions, 1976, ch. 3). So each
+numerator is unique, and equal series are equal dicts.
 """
 
 from collections import Counter
@@ -12,9 +14,6 @@ from .errors import FormMismatch, HypothesisViolated
 
 
 # --- Laurent polynomials in v (dict: power -> int coefficient) ---
-
-def lau_zero():
-    return {}
 
 def lau_const(c):
     return {0: c} if c else {}
@@ -47,28 +46,18 @@ def lau_mul(a, b):
 
 # --- denominators: Counter {i: mult} for prod (q^i - 1)^mult, q = v^2 ---
 
-_DEN_CACHE = {}
-_DEN_CACHE_SIZE = 4096  # entries; the oldest is evicted first
-
-
 def _den_expand(den):
     """Expanded Laurent polynomial of prod_i (q^i - 1)^mult."""
-    key = tuple(sorted((i, m) for i, m in den.items() if m))
-    if key in _DEN_CACHE:
-        return _DEN_CACHE[key]
     out = lau_const(1)
-    for (i, mult) in key:
-        factor = lau_add(lau_monomial(2 * i), lau_const(-1))
+    for i, mult in den.items():
         for _ in range(mult):
-            out = lau_mul(out, factor)
-    if len(_DEN_CACHE) >= _DEN_CACHE_SIZE:
-        del _DEN_CACHE[next(iter(_DEN_CACHE))]
-    _DEN_CACHE[key] = out
+            out = lau_mul(out, {2 * i: 1, 0: -1})
     return out
 
 
 class Coeff:
-    """num / prod (q^i - 1)^den[i], exact."""
+    """num / prod (q^i - 1)^den[i], exact; the reference arithmetic that
+    QSeries.coefficient reports in."""
 
     __slots__ = ("num", "den")
 
@@ -105,10 +94,6 @@ class Coeff:
                 "den": [[i, m] for (i, m) in sorted(self.den.items())]}
 
 
-def coeff_one():
-    return Coeff(lau_const(1))
-
-
 # --- pairing form ---
 
 class PairingForm:
@@ -143,7 +128,8 @@ class PairingForm:
 # --- truncated series ---
 
 class QSeries:
-    """Truncated series sum_alpha coeff_alpha * y^alpha, |alpha| <= truncation."""
+    """Truncated series sum_gamma terms[gamma] / (q)_|gamma| * y^gamma over
+    |gamma| <= truncation; terms maps gamma to its Laurent numerator."""
 
     def __init__(self, truncation, form, terms=None):
         self.truncation = int(truncation)
@@ -152,66 +138,77 @@ class QSeries:
         self.form = form
         self.terms = {}
         if terms:
-            for alpha, coeff in terms.items():
-                if sum(alpha) <= self.truncation and not coeff.is_zero():
-                    self.terms[tuple(alpha)] = coeff
+            for gamma, num in terms.items():
+                num = {p: c for p, c in num.items() if c}
+                if sum(gamma) <= self.truncation and num:
+                    self.terms[tuple(gamma)] = num
 
-    def coefficient(self, alpha):
-        return self.terms.get(tuple(alpha), Coeff(lau_zero()))
+    def coefficient(self, gamma):
+        return Coeff(self.terms.get(tuple(gamma), {}),
+                     Counter(range(1, sum(gamma) + 1)))
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        if self.truncation != other.truncation or self.form != other.form:
-            return False
-        for alpha in set(self.terms) | set(other.terms):
-            if self.coefficient(alpha) != other.coefficient(alpha):
-                return False
-        return True
+        return (self.truncation == other.truncation
+                and self.form == other.form and self.terms == other.terms)
 
     def __repr__(self):
-        return (f"QSeries(N={self.truncation}, "
-                f"{len(self.terms)} terms)")
+        return f"QSeries(N={self.truncation}, {len(self.terms)} terms)"
 
     def to_json(self):
-        out = []
-        for alpha in sorted(self.terms):
-            entry = {"exp": list(alpha)}
-            entry.update(self.terms[alpha].to_json())
-            out.append(entry)
-        return {"truncation": self.truncation, "terms": out}
+        return {"truncation": self.truncation,
+                "terms": [{"exp": list(g), **self.coefficient(g).to_json()}
+                          for g in sorted(self.terms)]}
 
 
 def qseries_one(truncation, form):
     zero = tuple(0 for _ in range(form.n))
-    return QSeries(truncation, form, {zero: coeff_one()})
+    return QSeries(truncation, form, {zero: lau_const(1)})
 
 
-def qseries_monomial(alpha, truncation, form, coeff=None):
-    return QSeries(truncation, form,
-                   {tuple(alpha): coeff if coeff is not None else coeff_one()})
+def qseries_monomial(alpha, truncation, form):
+    den = Counter(range(1, sum(alpha) + 1))
+    return QSeries(truncation, form, {tuple(alpha): _den_expand(den)})
+
+
+def _gaussian_rows(top):
+    """rows[n][k] = [n choose k]_q as a Laurent polynomial in v, n <= top,
+    by q-Pascal: [n choose k] = [n-1 choose k-1] + q^k [n-1 choose k]."""
+    rows = [[{0: 1}]]
+    for n in range(1, top + 1):
+        prev = rows[-1] + [{}]
+        rows.append([{0: 1}] + [
+            lau_add(prev[k - 1], {p + 2 * k: c for p, c in prev[k].items()})
+            for k in range(1, n + 1)])
+    return rows
 
 
 def qseries_mul(a, b, form):
-    """Product with the twisted monomial rule y^a y^b = v^{-(a,b)} y^{a+b}."""
+    """Product with the twisted monomial rule y^a y^b = v^{-(a,b)} y^{a+b}.
+
+    Over the fixed denominators, the numerators of y^alpha and y^beta
+    multiply with v^{-(alpha,beta)} [|alpha|+|beta| choose |alpha|]_q.
+    """
     if not (a.form == form and b.form == form):
         raise FormMismatch("series do not share the given pairing form")
     if a.truncation != b.truncation:
         raise FormMismatch(
             f"truncations differ: {a.truncation} vs {b.truncation}")
-    n = form.n
+    rows = _gaussian_rows(a.truncation)
     out = {}
-    for alpha, ca in a.terms.items():
-        for beta, cb in b.terms.items():
-            gamma = tuple(alpha[i] + beta[i] for i in range(n))
-            if sum(gamma) > a.truncation:
+    for alpha, na in a.terms.items():
+        da = sum(alpha)
+        for beta, nb in b.terms.items():
+            db = sum(beta)
+            if da + db > a.truncation:
                 continue
-            twist = Coeff(lau_monomial(-form.pair(alpha, beta)))
-            contrib = ca * cb * twist
-            if gamma in out:
-                out[gamma] = out[gamma] + contrib
-            else:
-                out[gamma] = contrib
+            gamma = tuple(x + y for x, y in zip(alpha, beta))
+            twist = -form.pair(alpha, beta)
+            shifted = {p + twist: c for p, c in rows[da + db][da].items()}
+            acc = out.setdefault(gamma, {})
+            for p, c in lau_mul(lau_mul(na, nb), shifted).items():
+                acc[p] = acc.get(p, 0) + c
     return QSeries(a.truncation, form, out)
 
 
@@ -227,8 +224,10 @@ def qseries_prod(factors, truncation, form):
 def dilog_series(alpha, truncation, form):
     """E(y^alpha) = sum_k v^k (y^alpha)^k / prod_{i<=k} (q^i - 1).
 
-    The v-power per order is pinned by requiring the pentagon identity in
-    the orientation E(N)E(M) = E(M)E(L)E(N); see check_pentagon.
+    Term k has numerator v^power prod_{k<i<=k|alpha|} (q^i - 1) over
+    (q)_{k|alpha|}. The v-power per order is pinned by requiring the
+    pentagon identity in the orientation E(N)E(M) = E(M)E(L)E(N); see
+    check_pentagon.
     """
     alpha = tuple(int(x) for x in alpha)
     if len(alpha) != form.n:
@@ -241,8 +240,9 @@ def dilog_series(alpha, truncation, form):
     k = 0
     while k * weight <= truncation:
         power = k - self_pair * k * (k - 1) // 2
-        den = Counter({i: 1 for i in range(1, k + 1)})
-        terms[tuple(k * x for x in alpha)] = Coeff(lau_monomial(power), den)
+        rest = _den_expand(Counter(range(k + 1, k * weight + 1)))
+        terms[tuple(k * x for x in alpha)] = lau_mul(lau_monomial(power),
+                                                    rest)
         k += 1
     return QSeries(truncation, form, terms)
 
@@ -343,7 +343,7 @@ class EdgeReport:
     def __init__(self, products, mismatches, series):
         self.products = products        # node key -> P(key)
         self.mismatches = mismatches    # (from, to, k) of each bad edge
-        self.series = series            # product along the record, if ok
+        self.series = series            # P(terminal), if ok
 
     @property
     def ok(self):
@@ -353,7 +353,7 @@ class EdgeReport:
         return f"EdgeReport(ok={self.ok}, nodes={len(self.products)})"
 
 
-def edge_invariant_check(ctx, graph, truncation, record):
+def edge_invariant_check(ctx, graph, truncation):
     """Wall-crossing invariance checked once per green edge.
 
     Fixes P(initial) = 1 and walks graph.edges in BFS order, requiring
@@ -362,9 +362,10 @@ def edge_invariant_check(ctx, graph, truncation, record):
     edge gives agreement of every MGS product (path independence: Keller,
     On cluster theory and quantum dilogarithm identities, 2011).
 
-    When every edge agrees, the report's series is the product along record
-    (normally first_mgs), computed as dt_invariant_check computes it, so it
-    serializes the same; it equals P at the record's terminal node.
+    When every edge agrees, the report's series is P at the terminal node
+    (at m = 1 there is one terminal key): the product along any MGS, which
+    has one numerator per term, so it serializes the same for every MGS.
+    It is None when no MGS ends within the graph.
     """
     form = _dt_form(ctx)
     products = {graph.initial: qseries_one(truncation, form)}
@@ -377,6 +378,6 @@ def edge_invariant_check(ctx, graph, truncation, record):
             products[w] = step
         elif step != products[w]:
             mismatches.append((u, w, k))
-    series = (None if mismatches
-              else _crossing_product(record.crossings, truncation, form))
+    series = (products[graph.terminals[0]]
+              if graph.terminals and not mismatches else None)
     return EdgeReport(products, mismatches, series)

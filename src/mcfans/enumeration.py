@@ -259,13 +259,6 @@ def green_path_counts(graph, depth_cap):
     return counts
 
 
-def first_mgs(ctx, counts, depth_cap):
-    """The first record of enumerate_mgs(ctx, depth_cap), or None if it lists
-    none, given green_path_counts(graph, depth_cap) for the graph capped at
-    depth_cap."""
-    return next(_walk_mgs(ctx, counts, depth_cap), None)
-
-
 def _toposort_green(graph):
     """Topological order of nodes under green edges; raises if cyclic."""
     out = _successors(graph)

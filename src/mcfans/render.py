@@ -201,12 +201,11 @@ def build_scene(walls, options=None):
                 "sector_count": len(directions)}
     else:
         for wid, w in enumerate(walls):
-            for line in project_wall(w, pole=pole, samples=samples):
-                arcs.append((wid, line, _wall_style(w)))
-            group = [a for a in arcs if a[0] == wid]
-            if group:
+            lines = project_wall(w, pole=pole, samples=samples)
+            arcs.extend((wid, line, _wall_style(w)) for line in lines)
+            if lines:
                 labels.append((",".join(str(x) for x in w.normal),
-                               group[0][1][0]))
+                               lines[0][0]))
         meta = {"rank": 3, "wall_count": len(walls), "samples": samples,
                 "pole": "default" if pole is None else
                 ",".join(str(Fraction(x)) for x in pole)}

@@ -277,8 +277,8 @@ def check_series_identities():
     recs3 = enumerate_mgs(ctx3, 10).records
     rep3 = dt_invariant_check(ctx3, recs3, 6)
     _require(rep3.ok, f"a3 products differ: {rep3.mismatches}")
-    return (f"pentagon at order 10; {5} a2tilde and {len(recs3)} a3 "
-            "products agree")
+    return (f"pentagon at order 10; {len(rep_t.all_series)} a2tilde and "
+            f"{len(recs3)} a3 products agree")
 
 
 def _positive_root_set(q):

@@ -164,6 +164,17 @@ def test_render_pole(tmp_path):
     assert proc.returncode == 2              # malformed pole
 
 
+@pytest.mark.parametrize("target", ["missing/x.svg", "."],
+                         ids=["missing-directory", "directory"])
+def test_render_out_not_writable_exits_one(target, tmp_path):
+    proc = run_cli("render", "--quiver", "a_n:<<", "--format", "svg",
+                   "--samples", "90", "--out", str(tmp_path / target))
+    assert proc.returncode == 1 and proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("mcfans: ")
+    assert "Traceback" not in proc.stderr
+
+
 # --- dilog ---
 
 def test_dilog():

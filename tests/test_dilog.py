@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from mcfans import cli
 from mcfans.dilog import (Coeff, PairingForm, QSeries, check_pentagon,
-                          check_square, coeff_one, dilog_series, lau_add,
+                          check_square, dilog_series, lau_add,
                           lau_const, lau_monomial, lau_mul, dt_invariant_check,
                           edge_invariant_check, qseries_mul, qseries_one,
                           qseries_prod)
 from mcfans.enumeration import (ExchangeGraph, MgsRecord, canonical_key,
-                                enumerate_mgs, exchange_graph, first_mgs,
+                                enumerate_mgs, exchange_graph,
                                 green_path_counts)
 from mcfans.errors import FormMismatch, HypothesisViolated
 from mcfans.mutation import (GradedVector, MutationContext, initial_state,
@@ -38,21 +38,6 @@ def test_lau_basics():
 
 
 # --- coefficients ---
-
-def test_den_cache_is_bounded(monkeypatch):
-    import mcfans.dilog as dilog
-    monkeypatch.setattr(dilog, "_DEN_CACHE", {})
-    bound = dilog._DEN_CACHE_SIZE
-    for i in range(1, bound + 51):
-        # prod (q^i - 1) at v = 2, so q = 4
-        out = dilog._den_expand({i: 1})
-        assert sum(c * 2 ** p for p, c in out.items()) == 4 ** i - 1
-        assert len(dilog._DEN_CACHE) <= bound
-    assert ((1, 1),) not in dilog._DEN_CACHE        # evicted first
-    assert dilog._den_expand(Counter({1: 2, 3: 1})) == \
-        lau_mul(lau_mul(dilog._den_expand({1: 1}), dilog._den_expand({1: 1})),
-                dilog._den_expand({3: 1}))
-
 
 def test_coeff_add():
     half = Coeff({0: 1}, {1: 1})          # 1/(q-1)
@@ -106,8 +91,10 @@ def test_pairing_form_guards():
 # --- series basics ---
 
 def test_qseries_truncation_drops_terms(form2):
-    s = QSeries(2, form2, {(3, 0): coeff_one(), (1, 0): coeff_one()})
-    assert (3, 0) not in s.terms and (1, 0) in s.terms
+    s = QSeries(2, form2, {(3, 0): {0: 1}, (1, 0): {2: 1, 0: -1},
+                           (0, 1): {0: 0}})
+    assert set(s.terms) == {(1, 0)}
+    assert s.coefficient((1, 0)) == Coeff({0: 1})
     assert s.coefficient((3, 0)).is_zero()
     with pytest.raises(ValueError):
         QSeries(0, form2)
@@ -143,7 +130,7 @@ def test_qseries_json(form2):
 
 def test_dilog_series_terms(form2):
     e = dilog_series((1, 0), 3, form2)
-    assert e.coefficient((0, 0)) == coeff_one()
+    assert e.coefficient((0, 0)) == Coeff({0: 1})
     assert e.coefficient((1, 0)) == Coeff({1: 1}, {1: 1})
     assert e.coefficient((2, 0)) == Coeff({2: 1}, {1: 1, 2: 1})
     assert e.coefficient((3, 0)) == Coeff({3: 1}, {1: 1, 2: 1, 3: 1})
@@ -194,6 +181,56 @@ def test_pentagon_orientation_matters(table2, form2):
     assert lhs != rhs
 
 
+# --- the fixed-denominator product against Coeff arithmetic ---
+
+def _reference_series(alpha, truncation, form):
+    """E(y^alpha) with one Coeff per term, v^power / prod_{i<=k} (q^i - 1)."""
+    weight, self_pair = sum(alpha), form.pair(alpha, alpha)
+    return {tuple(k * x for x in alpha):
+            Coeff(lau_monomial(k - self_pair * k * (k - 1) // 2),
+                  {i: 1 for i in range(1, k + 1)})
+            for k in range(truncation // weight + 1)}
+
+
+def _reference_product(alphas, truncation, form):
+    """prod E(y^alpha) in Coeff arithmetic, y^a y^b = v^{-(a,b)} y^{a+b}."""
+    out = {tuple(0 for _ in range(form.n)): Coeff({0: 1})}
+    for alpha in alphas:
+        factor = _reference_series(alpha, truncation, form)
+        step = {}
+        for a, ca in out.items():
+            for b, cb in factor.items():
+                gamma = tuple(x + y for x, y in zip(a, b))
+                if sum(gamma) > truncation:
+                    continue
+                term = ca * cb * Coeff(lau_monomial(-form.pair(a, b)))
+                step[gamma] = step[gamma] + term if gamma in step else term
+        out = step
+    return out
+
+
+@st.composite
+def _dilog_factors(draw):
+    q = preset(draw(st.sampled_from(["a2", "a3"])))
+    form = PairingForm(q.exchange)
+    vector = st.lists(st.integers(min_value=0, max_value=2),
+                      min_size=form.n, max_size=form.n).filter(any)
+    alphas = draw(st.lists(vector.map(tuple), min_size=1, max_size=5))
+    return form, alphas, draw(st.integers(min_value=1, max_value=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_dilog_factors())
+def test_product_matches_coeff_arithmetic(case):
+    form, alphas, truncation = case
+    product = qseries_prod([dilog_series(a, truncation, form) for a in alphas],
+                           truncation, form)
+    reference = _reference_product(alphas, truncation, form)
+    for gamma in set(product.terms) | set(reference):
+        want = reference.get(gamma, Coeff({}))
+        assert product.coefficient(gamma) == want, (alphas, gamma)
+
+
 # --- DT invariance across green sequences ---
 
 def test_dt_invariant(q2):
@@ -230,9 +267,8 @@ def test_dt_refuses_valued_quiver(qb2):
         with pytest.raises(HypothesisViolated):
             dt_invariant_check(ctx, records, truncation=6)
         graph = exchange_graph(ctx, depth_cap=cap)
-        first = first_mgs(ctx, green_path_counts(graph, cap), cap)
         with pytest.raises(HypothesisViolated):
-            edge_invariant_check(ctx, graph, 6, first)
+            edge_invariant_check(ctx, graph, 6)
 
 
 def test_cli_dilog_refuses_valued_quiver(qb2, monkeypatch, capsys):
@@ -249,22 +285,19 @@ def _edge_check(ctx, cap, truncation):
     """The dilog command's path: count by path DP, check once per edge."""
     graph = exchange_graph(ctx, depth_cap=cap)
     counts = green_path_counts(graph, cap)
-    first = first_mgs(ctx, counts, cap)
-    report = (edge_invariant_check(ctx, graph, truncation, first)
-              if first else None)
-    return counts.get((graph.initial, cap), 0), first, report
+    report = edge_invariant_check(ctx, graph, truncation)
+    return counts.get((graph.initial, cap), 0), report
 
 
 def _assert_matches_oracle(name, cap, truncation):
     ctx = MutationContext(preset(name), 1)
-    count, first, report = _edge_check(ctx, cap, truncation)
+    count, report = _edge_check(ctx, cap, truncation)
     records = enumerate_mgs(ctx, cap).records
     assert count == len(records), (name, cap)
     if not records:
-        assert first is None
+        assert report.series is None
         return
-    assert first.mutations == records[0].mutations
-    assert first.crossings == records[0].crossings
+    first = records[0]
     oracle = dt_invariant_check(ctx, records, truncation)
     assert report.ok and oracle.ok, (name, cap, report.mismatches)
     assert (json.dumps(report.series.to_json())
@@ -306,6 +339,20 @@ def test_edge_check_matches_records_random(orientation, cap, truncation):
     _assert_matches_oracle("a_n:" + "".join(orientation), cap, truncation)
 
 
+@pytest.mark.parametrize("name,cap", [("a3", 10), ("a_n:<<", 10),
+                                      ("a2tilde", 10), ("a_n:<<<", 20)])
+def test_every_mgs_product_serializes_the_same(name, cap):
+    # one numerator per term over (q)_|gamma|: equal series, equal bytes
+    ctx = MutationContext(preset(name), 1)
+    records = enumerate_mgs(ctx, cap).records
+    graph = exchange_graph(ctx, depth_cap=cap)
+    for truncation in (4, 5, 6):
+        series = edge_invariant_check(ctx, graph, truncation).series
+        want = json.dumps(series.to_json())
+        for s in dt_invariant_check(ctx, records, truncation).all_series:
+            assert json.dumps(s.to_json()) == want, (name, truncation)
+
+
 def _corrupt_one_edge(graph):
     """The graph with one edge relabelled to cross another column at its
     source, chosen so that the edge does not define P at its target."""
@@ -325,8 +372,7 @@ def _corrupt_one_edge(graph):
 def test_edge_check_reports_the_corrupt_edge(q3, monkeypatch, capsys):
     ctx = MutationContext(q3, 1)
     graph, bad = _corrupt_one_edge(exchange_graph(ctx, depth_cap=10))
-    first = first_mgs(ctx, green_path_counts(graph, 10), 10)
-    report = edge_invariant_check(ctx, graph, 6, first)
+    report = edge_invariant_check(ctx, graph, 6)
     assert report.mismatches == [bad]
     assert not report.ok and report.series is None
 

@@ -12,9 +12,8 @@ from hypothesis import given, settings, strategies
 from mcfans import enumeration
 from mcfans.enumeration import (DEFAULT_NODE_CAP, canonical_key,
                                 classify_edge, enumerate_mgs, exchange_graph,
-                                fan_components, first_mgs, fuss_catalan,
-                                graph_to_json, green_path_counts, longest_mgs,
-                                mgs_to_json)
+                                fan_components, fuss_catalan, graph_to_json,
+                                green_path_counts, longest_mgs, mgs_to_json)
 from mcfans.errors import NodeCapExceeded, NotInvertibleHere, SlopeAtMax
 from mcfans.mutation import (MutationContext, MutationState, initial_state,
                              mu_minus, mu_plus)
@@ -318,11 +317,6 @@ def _records(res):
     return [(r.mutations, r.crossings) for r in res.records]
 
 
-def _first(ctx, cap):
-    counts = green_path_counts(exchange_graph(ctx, depth_cap=cap), cap)
-    return first_mgs(ctx, counts, cap)
-
-
 MGS_ORACLE_CASES = list(dict.fromkeys(
     [("a3", 2, 20), ("a_n:<><", 1, 12), ("a2tilde", 1, 7), ("a2tilde", 2, 6)]
     + [("a3", 2, cap) for cap in range(1, 7)]
@@ -351,16 +345,28 @@ def test_mgs_matches_recursive_dfs_on_random_orientations(n, data, m, cap):
 
 @pytest.mark.parametrize("name,m,cap", MGS_ORACLE_CASES)
 def test_first_mgs_is_the_first_record(name, m, cap):
+    # the lexicographically first MGS is listed first, and it ends at the
+    # one terminal node of the capped graph, where dilog reads its series
     ctx = MutationContext(preset(name), m)
-    first = _first(ctx, cap)
-    found = [] if first is None else [(first.mutations, first.crossings)]
-    assert found == _records(enumerate_mgs(ctx, cap))[:1]
+    records = enumerate_mgs(ctx, cap).records
+    graph = exchange_graph(ctx, depth_cap=cap)
+    if not records:
+        assert graph.terminals == []
+        return
+    first = records[0]
+    assert first.mutations == min(r.mutations for r in records)
+    end = initial_state(ctx)
+    for k in first.mutations:
+        end = mu_plus(end, k)
+    assert graph.terminals == [canonical_key(end)]
 
 
 def test_first_mgs_none_when_nothing_ends(q2):
     ctx = MutationContext(q2, 1)
     assert len(enumerate_mgs(ctx, 1)) == 0
-    assert _first(ctx, 1) is None
+    graph = exchange_graph(ctx, depth_cap=1)
+    assert graph.terminals == []
+    assert green_path_counts(graph, 1).get((graph.initial, 1), 0) == 0
 
 
 def test_mgs_skips_branches_that_cannot_end(q2t, monkeypatch):

@@ -4,8 +4,7 @@ permutation invariance, exact-series algebra."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcfans.dilog import (Coeff, PairingForm, QSeries, lau_monomial,
-                          qseries_mul)
+from mcfans.dilog import PairingForm, QSeries, lau_monomial, qseries_mul
 from mcfans.enumeration import canonical_key
 from mcfans.finrep import ext_dim, hom_dim, indecomposables
 from mcfans.intmat import det, mat_mul, transpose
@@ -189,7 +188,7 @@ def small_series(draw, form, truncation=4):
         power = draw(st.integers(min_value=-3, max_value=3))
         coeff = draw(st.integers(min_value=-2, max_value=2))
         if coeff:
-            terms[alpha] = Coeff(lau_monomial(power, coeff))
+            terms[alpha] = lau_monomial(power, coeff)
     return QSeries(truncation, form, terms)
 
 
