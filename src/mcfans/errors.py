@@ -40,10 +40,6 @@ class UnsupportedType(McfError):
     """Quiver is not simply laced of finite representation type."""
 
 
-class NegativeExt(McfError):
-    """hom - euler came out negative; the hom computation is inconsistent."""
-
-
 class DualBrickNotFound(McfError):
     """A chamber facet has no (unique) brick whose wall supports it."""
 

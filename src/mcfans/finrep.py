@@ -1,15 +1,16 @@
 """Exact representation theory of simply-laced finite-type path algebras.
 
-Indecomposables are built once per quiver by reflection functors from simples
-(exact rational matrices), then everything else — Hom/Ext dimensions,
-exceptional sequences, perpendicular categories, stability walls, torsion
-classes, the module-theoretic mutation oracle — is computed from the table.
+The indecomposables are the positive roots, and everything else — Hom/Ext
+dimensions (from the Euler form), exceptional sequences, perpendicular
+categories, stability walls, torsion classes — is computed from them. Exact
+rational matrices, built by reflection functors from simples, exist only for
+the reps whose maps are read: the mutation oracle and extension middles.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from .errors import (DualBrickNotFound, InconclusiveGenericity, NegativeExt,
+from .errors import (DualBrickNotFound, InconclusiveGenericity,
                      NotExceptionalSequence, UnsupportedType)
 from .intmat import rank as mat_rank
 from .intmat import det, dot, left_nullspace, nullspace, solve
@@ -19,19 +20,25 @@ from .seed import dim_of_g, euler_pairing, g_of_dim
 # --- the indecomposable table ---
 
 class IndecRep:
-    """An indecomposable representation: dimension vector + rational matrices.
+    """An indecomposable representation: its dimension vector (a positive
+    root) and, built on first read, its rational matrices.
 
     maps[(u, w)] is a (dim_w x dim_u) matrix for the arrow u -> w (0-based).
     """
 
-    __slots__ = ("table", "idx", "dim", "maps")
+    __slots__ = ("table", "idx", "dim", "_maps")
 
-    def __init__(self, table, idx, dim, maps):
+    def __init__(self, table, idx, dim):
         self.table = table
         self.idx = idx
-        self.dim = tuple(int(x) for x in dim)
-        self.maps = {a: tuple(tuple(Fraction(x) for x in row) for row in m)
-                     for a, m in maps.items()}
+        self.dim = dim
+        self._maps = None
+
+    @property
+    def maps(self):
+        if self._maps is None:
+            self._maps = _build_rep(self.table.quiver, self.dim)
+        return self._maps
 
     def __eq__(self, other):
         return (isinstance(other, IndecRep) and other.table is self.table
@@ -60,14 +67,14 @@ class ShiftedProjective:
 
 
 class IndecTable:
-    """All indecomposables of a simply-laced Dynkin quiver, with cached homs."""
+    """All indecomposables of a simply-laced Dynkin quiver, one per positive
+    root, with their Euler pairings memoized."""
 
-    def __init__(self, quiver, reps_data):
+    def __init__(self, quiver, roots):
         self.quiver = quiver
-        self.reps = [IndecRep(self, i, dim, maps)
-                     for i, (dim, maps) in enumerate(reps_data)]
+        self.reps = [IndecRep(self, i, r) for i, r in enumerate(roots)]
         self.by_dim = {r.dim: r for r in self.reps}
-        self._hom_cache = {}
+        self._euler_cache = {}
         self._subdims_cache = {}
 
     def __iter__(self):
@@ -86,13 +93,6 @@ class IndecTable:
     def simple(self, i):
         return self.by_dim[tuple(1 if j == i - 1 else 0
                                  for j in range(self.quiver.n))]
-
-    def hom(self, x, y):
-        key = (x.idx, y.idx)
-        if key not in self._hom_cache:
-            self._hom_cache[key] = len(hom_space(
-                self.quiver, x.dim, x.maps, y.dim, y.maps))
-        return self._hom_cache[key]
 
 
 _TABLE_CACHE = {}
@@ -131,15 +131,12 @@ def _positive_roots(cartan, n):
             if all(x >= 0 for x in w) and any(x > 0 for x in w) and w not in roots:
                 queue.append(w)
         if len(roots) > 1000:
-            raise UnsupportedType("root system is not finite")
+            raise UnsupportedType("more than 1000 positive roots")
     return sorted(roots, key=lambda r: (sum(r), r))
 
 
 def _sinks_first_order(n, arrows):
     """Topological order with arrow targets before sources."""
-    outdeg = [0] * n
-    for (u, _w) in arrows:
-        outdeg[u] += 1
     order = []
     remaining = set(range(n))
     arrs = set(arrows)
@@ -209,9 +206,15 @@ def _coreflect(n, arrows, dims, maps, i):
     return new_dims, new_maps, new_arrows
 
 
-def _build_rep(n, arrows, cartan, order, root):
+def _build_rep(q, root):
+    """Matrices of the indecomposable of dimension vector root: reflect root
+    down to a simple, then apply the reflection functors back up."""
+    n = q.n
+    arrows = [(u, w) for (u, w, _) in q.arrows()]
     if sum(root) == 1:
-        return _simple_rep_data(n, arrows, root.index(1))
+        return _simple_rep_data(n, arrows, root.index(1))[1]
+    cartan = _check_dynkin(q)
+    order = _sinks_first_order(n, arrows)
     v = root
     seq = []
     quiv = list(arrows)
@@ -235,7 +238,7 @@ def _build_rep(n, arrows, cartan, order, root):
         dims, maps, quiv = _coreflect(n, quiv, dims, maps, i)
         if dims != expected:
             raise AssertionError(f"reflection functor dims drifted for {root}")
-    return dims, maps
+    return maps
 
 
 def indecomposables(q):
@@ -243,15 +246,7 @@ def indecomposables(q):
     key = q.key()
     if key in _TABLE_CACHE:
         return _TABLE_CACHE[key]
-    cartan = _check_dynkin(q)
-    arrows = [(u, w) for (u, w, _) in q.arrows()]
-    order = _sinks_first_order(q.n, arrows)
-    roots = _positive_roots(cartan, q.n)
-    reps_data = [_build_rep(q.n, arrows, cartan, order, r) for r in roots]
-    table = IndecTable(q, reps_data)
-    for r in table:
-        if table.hom(r, r) != 1:
-            raise AssertionError(f"rep at {r.dim} is not Schurian")
+    table = IndecTable(q, _positive_roots(_check_dynkin(q), q.n))
     if len(_TABLE_CACHE) >= _TABLE_CACHE_SIZE:
         del _TABLE_CACHE[next(iter(_TABLE_CACHE))]
     _TABLE_CACHE[key] = table
@@ -261,7 +256,8 @@ def indecomposables(q):
 # --- hom / ext ---
 
 def hom_space(q, dims_x, maps_x, dims_y, maps_y):
-    """Basis of Hom(X, Y) as lists of per-vertex matrices (Fraction)."""
+    """Basis of Hom(X, Y) as lists of per-vertex matrices (Fraction): the
+    matrix oracle for hom_dim, and the maps the mutation oracle reads."""
     n = q.n
     sizes = [dims_y[v] * dims_x[v] for v in range(n)]
     offsets = [0]
@@ -305,29 +301,34 @@ def _as_rep(x):
     return x
 
 
-def hom_dim(x, y):
+def _euler(x, y):
+    """<dim x, dim y> = hom - ext, memoized on the table. A Dynkin path
+    algebra is representation-directed, so at most one of Hom(x, y) and
+    Ext(x, y) = D Hom(y, tau x) is nonzero (Ringel, Tame algebras and integral
+    quadratic forms, 1984): hom = max(0, <x,y>), ext = max(0, -<x,y>)."""
     x, y = _as_rep(x), _as_rep(y)
     if x.table is not y.table:
         raise ValueError("representations live over different quivers")
-    return x.table.hom(x, y)
+    cache = x.table._euler_cache
+    key = (x.idx, y.idx)
+    if key not in cache:
+        cache[key] = euler_pairing(x.table.quiver, x.dim, y.dim)
+    return cache[key]
+
+
+def hom_dim(x, y):
+    return max(0, _euler(x, y))
 
 
 def ext_dim(x, y):
-    h = hom_dim(x, y)
-    e = h - euler_pairing(x.table.quiver, x.dim, y.dim)
-    if e < 0:
-        raise NegativeExt(f"hom - euler < 0 for dims {x.dim}, {y.dim}")
-    return e
+    return max(0, -_euler(x, y))
 
 
 def is_exceptional_sequence(seq):
-    """Hom(E_j, E_i) = 0 = Ext(E_j, E_i) for every i < j."""
+    """Hom(E_j, E_i) = 0 = Ext(E_j, E_i), i.e. <E_j, E_i> = 0, for i < j."""
     seq = [_as_rep(x) for x in seq]
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if hom_dim(seq[j], seq[i]) != 0 or ext_dim(seq[j], seq[i]) != 0:
-                return False
-    return True
+    return all(_euler(seq[j], seq[i]) == 0
+               for i in range(len(seq)) for j in range(i + 1, len(seq)))
 
 
 # --- submodules and walls ---
@@ -404,8 +405,8 @@ def check_wall_membership(x, m):
     """Whether x's (signed) g-vector lies on wall_of(m).
 
     Computes the geometric test (D g on the wall) and the homological test
-    (hom/ext vanishing) independently; they must agree, or RuntimeError flags
-    an internal inconsistency.
+    (Hom(x, m) = 0 = Ext(x, m), i.e. <x, m> = 0) independently; they must
+    agree, or RuntimeError flags an internal inconsistency.
     """
     m = _as_rep(m)
     q = m.table.quiver
@@ -417,7 +418,7 @@ def check_wall_membership(x, m):
         x = _as_rep(x)
         g = g_of_dim(q, x.dim)
         vec = tuple(d[i] * g[i] for i in range(q.n))
-        homological = hom_dim(x, m) == 0 and ext_dim(x, m) == 0
+        homological = _euler(x, m) == 0
     geometric = wall_of(m).contains(vec)
     if geometric != homological:
         raise RuntimeError(
@@ -538,9 +539,9 @@ def _perp(table, s, side):
     out = []
     for x in table:
         if side == "left":
-            ok = all(hom_dim(x, m) == 0 and ext_dim(x, m) == 0 for m in s)
+            ok = all(_euler(x, m) == 0 for m in s)
         else:
-            ok = all(hom_dim(m, x) == 0 and ext_dim(m, x) == 0 for m in s)
+            ok = all(_euler(m, x) == 0 for m in s)
         if ok:
             out.append(x)
     return tuple(out)
@@ -627,7 +628,7 @@ def decompose(table, dims, maps):
     q = table.quiver
     reps = table.reps
     hvec = [len(hom_space(q, t.dim, t.maps, dims, maps)) for t in reps]
-    hmat = [[table.hom(t, u) for u in reps] for t in reps]
+    hmat = [[hom_dim(t, u) for u in reps] for t in reps]
     mults = solve(hmat, hvec)
     out = []
     for i, mult in enumerate(mults):
@@ -699,9 +700,9 @@ def quotient_summand_dims(z):
         raise ValueError("quotient oracle only handles multiplicity-free reps")
     q = z.table.quiver
     supp = frozenset(v for v in range(q.n) if z.dim[v])
-    live = [(u, w) for (u, w, _) in q.arrows()
-            if u in supp and w in supp and any(any(x != 0 for x in row)
-                                               for row in z.maps[(u, w)])]
+    # a thin indecomposable of a tree quiver is nonzero on every arrow
+    # inside its support
+    live = [(u, w) for (u, w, _) in q.arrows() if u in supp and w in supp]
     out = set()
     subsets = []
     for bits in range(1 << len(supp)):

@@ -14,13 +14,13 @@ from .enumeration import (enumerate_mgs, exchange_graph, fan_components,
 from .fans import (check_hv_invariance, configuration_of_state,
                    horizontal_algebra, silting_from_state, vertical_algebra)
 from .finrep import (ShiftedProjective, check_wall_membership, ext_dim,
-                     hom_dim, indecomposables, restricted_walls,
+                     hom_dim, hom_space, indecomposables, restricted_walls,
                      torsion_class_of_state, wall_of)
 from .intmat import det
 from .mutation import (MutationContext, MutationState, initial_state,
                        mu_minus, mu_plus, signed_c_matrix, validate_state)
 from .render import render_picture
-from .seed import ValuedQuiver, preset
+from .seed import ValuedQuiver, euler_pairing, preset
 
 
 class CheckFailure(AssertionError):
@@ -308,16 +308,18 @@ def check_structural_properties():
                              f"round trip fails at k={k}")
                     trips += 1
     notes.append(f"{trips} round trips")
-    # hom/ext agree with the Euler form, with directedness
+    # hom/ext from the Euler form match the matrix hom spaces; since the
+    # form's values are directed and <x,x> = 1, so are the matrices'
     pairs = 0
     for name in ("a2", "a3"):
-        table = indecomposables(preset(name))
+        q = preset(name)
+        table = indecomposables(q)
         for x in table.reps:
             for y in table.reps:
-                h, e = hom_dim(x, y), ext_dim(x, y)  # ext raises if negative
-                _require(h * e == 0, f"hom and ext both nonzero: {x}, {y}")
-                if x is y:
-                    _require((h, e) == (1, 0), "brick self-hom/ext wrong")
+                h = len(hom_space(q, x.dim, x.maps, y.dim, y.maps))
+                e = h - euler_pairing(q, x.dim, y.dim)
+                _require((hom_dim(x, y), ext_dim(x, y)) == (h, e),
+                         f"hom/ext disagree with hom_space: {x}, {y}")
                 pairs += 1
     notes.append(f"{pairs} hom/ext pairs")
     # wall membership: geometric and homological tests agree everywhere

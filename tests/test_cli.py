@@ -213,6 +213,15 @@ def test_mgs_node_cap_failure_exits_one():
     assert proc.returncode == 1 and "NodeCapExceeded" in proc.stderr
 
 
+def test_root_budget_exits_one(capsys):
+    # a45 has 1035 positive roots, past the table's cap of 1000
+    assert main(["walls", "--quiver", "a_n:" + "<" * 44]) == 1
+    out, err = capsys.readouterr()
+    [line] = err.splitlines()
+    assert out == "" and "more than 1000 positive roots" in line
+    assert "not finite" not in line
+
+
 def test_env_node_cap():
     proc = run_cli("enumerate", "--quiver", "a2", "--m", "3",
                    env_extra={"MCF_NODE_CAP": "5"})

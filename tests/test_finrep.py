@@ -4,11 +4,12 @@ from itertools import product
 
 import pytest
 
+from mcfans.cli import main
 from mcfans.enumeration import exchange_graph
 from mcfans.errors import (NotExceptionalSequence, UnsupportedType)
 from mcfans.finrep import (ShiftedProjective, Wall, canonical_decomposition,
                            check_wall_membership, ext_dim, extension_middle,
-                           generic_subdims, hom_dim, indecomposables,
+                           generic_subdims, hom_dim, hom_space, indecomposables,
                            is_exceptional_sequence, mutation_case_oracle,
                            perp_category, quotient_summand_dims,
                            restricted_walls, span_of, submodule_dims,
@@ -94,6 +95,59 @@ def test_hom_minus_ext_is_euler(q3, table3):
                 euler_pairing(q3, x.dim, y.dim)
 
 
+def test_euler_form_matches_hom_space():
+    e6 = _quiver(6, [(0, 1), (2, 1), (2, 3), (4, 3), (5, 2)])
+    quivers = _small_dynkin() + [e6]
+    # generic_subdims reads ext_dim, so it stays an independent oracle only
+    # while its quivers are checked here against the matrices
+    assert {q.key() for q in _generic_quivers()} <= {q.key() for q in quivers}
+    pairs = 0
+    for q in quivers:
+        table = indecomposables(q)
+        for x in table:
+            for y in table:
+                h = len(hom_space(q, x.dim, x.maps, y.dim, y.maps))
+                assert hom_dim(x, y) == h, (x, y)
+                assert hom_dim(x, y) - ext_dim(x, y) == \
+                    euler_pairing(q, x.dim, y.dim)
+                pairs += 1
+    assert pairs == 12114 + 36 * 36
+
+
+def test_thin_indecomposables_are_nonzero_inside_their_support():
+    # quotient_summand_dims takes every arrow inside the support as live
+    thin = 0
+    for q in _small_dynkin():
+        for z in indecomposables(q):
+            if max(z.dim) == 1:
+                thin += 1
+                for (u, w, _) in q.arrows():
+                    if z.dim[u] and z.dim[w]:
+                        assert z.maps[(u, w)][0][0] != 0, (z, u, w)
+    assert thin == 710
+
+
+def test_walls_fans_and_torsion_build_no_matrices(monkeypatch, capsys):
+    import mcfans.finrep as finrep
+
+    def refuse(*args):
+        raise AssertionError("a representation matrix was built")
+
+    monkeypatch.setattr(finrep, "_build_rep", refuse)
+    monkeypatch.setattr(finrep, "_TABLE_CACHE", {})
+    for args in (["walls", "--quiver", "a_n:<><><><><><"],
+                 ["render", "--quiver", "a3", "--format", "stats"],
+                 ["fans", "--quiver", "a3", "--m", "2"]):
+        assert main(args) == 0, args
+    capsys.readouterr()
+    q3 = preset("a3")
+    graph = exchange_graph(MutationContext(q3, 1))
+    assert len({torsion_class_of_state(st)
+                for st in graph.nodes.values()}) == 14
+    sub = ValuedQuiver(3, ((1, 0, 0), (-1, 1, 0), (0, 0, 1)), name="a2xa1")
+    assert restricted_walls(q3, sub).ok
+
+
 def test_hom_rejects_foreign_pairs(table2, table3):
     with pytest.raises(ValueError):
         hom_dim(table2.simple(1), table3.simple(1))
@@ -127,18 +181,20 @@ def test_submodule_guard():
 
 
 def test_e7_walls():
-    # e7: the chain 0-...-5 with vertex 6 on 2, arrows alternating; its
-    # largest root has total dimension 17
-    table = indecomposables(_quiver(7, [(0, 1), (2, 1), (2, 3), (4, 3),
-                                        (4, 5), (6, 2)]))
-    assert len(table) == 63
-    roots = set(table.by_dim)
-    for m in table:
-        w = wall_of(m)
-        assert w.normal == m.dim
-        for d in w.subdims:
-            assert d in roots and d != m.dim
-            assert all(x <= y for x, y in zip(d, m.dim))
+    # e7 (e8): the chain 0-...-5 (0-...-6) with one more vertex on 2, arrows
+    # alternating; the largest root has total dimension 17 (29)
+    e7 = _quiver(7, [(0, 1), (2, 1), (2, 3), (4, 3), (4, 5), (6, 2)])
+    e8 = _quiver(8, [(0, 1), (2, 1), (2, 3), (4, 3), (4, 5), (6, 5), (7, 2)])
+    for q, count in ((e7, 63), (e8, 120)):
+        table = indecomposables(q)
+        assert len(table) == count
+        roots = set(table.by_dim)
+        for m in table:
+            w = wall_of(m)
+            assert w.normal == m.dim
+            for d in w.subdims:
+                assert d in roots and d != m.dim
+                assert all(x <= y for x, y in zip(d, m.dim))
 
 
 def test_wall_of(table2):
@@ -292,14 +348,33 @@ def _sums(vectors, bound):
     return out
 
 
-def test_generic_subdims_match():
+def _orientations(n, edges):
+    """Every orientation of the tree on vertices 0..n-1 with these edges."""
+    return [_quiver(n, [(w, u) if flip else (u, w)
+                        for (u, w), flip in zip(edges, flips)])
+            for flips in product((False, True), repeat=len(edges))]
+
+
+def _small_dynkin():
+    """Every orientation of A2-A5, D4 and D5."""
+    quivers = [q for n in range(2, 6)
+               for q in _orientations(n, [(i, i + 1) for i in range(n - 1)])]
+    return (quivers + _orientations(4, [(0, 1), (0, 2), (0, 3)])
+            + _orientations(5, [(0, 1), (1, 2), (2, 3), (2, 4)]))
+
+
+def _generic_quivers():
     quivers = [preset("a_n:" + "".join(o))
                for n in (3, 4) for o in product("<>", repeat=n - 1)]
     quivers.append(_quiver(4, [(0, 1), (0, 2), (0, 3)]))  # d4
     # d5 in an orientation where <b, dim m - b> >= 0 alone admits a root
     # (0,1,1,1,1) that does not embed into (1,1,2,1,1)
     quivers.append(_quiver(5, [(1, 0), (2, 1), (2, 3), (2, 4)]))
-    for q in quivers:
+    return quivers
+
+
+def test_generic_subdims_match():
+    for q in _generic_quivers():
         table = indecomposables(q)
         roots = set(table.by_dim)
         for m in table:
