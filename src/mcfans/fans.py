@@ -7,13 +7,11 @@ whose brick walls assemble the fans.
 """
 
 from fractions import Fraction
-from itertools import permutations, product
 
 from .errors import DualityViolation, NotConfigurable
 from .finrep import indecomposables, is_exceptional_sequence, span_of, wall_of
 from .intmat import inverse, transpose
 from .mutation import mu_plus, signed_c_matrix
-from .seed import dim_of_g
 
 
 # --- configurations ---
@@ -21,9 +19,9 @@ from .seed import dim_of_g
 class MConfiguration:
     """n graded exceptional modules (dim, slope) with an admissible ordering.
 
-    items[j] corresponds to column j of the source state; ordering is a
-    permutation of item indices with weakly increasing slopes along which the
-    modules form an exceptional sequence.
+    items[j] corresponds to column j of the source state; ordering is the
+    lexicographically least permutation of item indices with weakly
+    increasing slopes along which the modules form an exceptional sequence.
     """
 
     def __init__(self, quiver, m, items):
@@ -39,17 +37,23 @@ class MConfiguration:
             mods = [table.by_dim[dim] for (dim, _s) in self.items]
         except KeyError as e:
             raise NotConfigurable(f"dimension vector {e.args[0]} is not a root")
-        self.ordering = None
-        # slope-sorted orderings in lexicographic order: permute each block
-        # of equal slopes, blocks in ascending slope order
-        blocks = [[j for j, (_d, s) in enumerate(self.items) if s == slope]
-                  for slope in sorted({s for (_d, s) in self.items})]
-        for perms in product(*(permutations(b) for b in blocks)):
-            perm = sum(perms, ())
-            if is_exceptional_sequence([mods[j] for j in perm]):
-                self.ordering = perm
-                break
-        if self.ordering is None:
+        # x must precede y whenever <y, x> != 0, so an admissible order is a
+        # topological order of each equal-slope block; the least one takes
+        # the smallest index that may precede all others left in its block
+        order = []
+        for slope in sorted({s for (_d, s) in self.items}):
+            left = [j for j, (_d, s) in enumerate(self.items) if s == slope]
+            while left:
+                j = next((j for j in left if all(
+                    is_exceptional_sequence((mods[j], mods[i]))
+                    for i in left if i != j)), None)
+                if j is None:
+                    break
+                order.append(j)
+                left.remove(j)
+        self.ordering = tuple(order)
+        if (len(order) < len(mods)
+                or not is_exceptional_sequence([mods[j] for j in order])):
             raise NotConfigurable(
                 f"no slope-ordered exceptional numbering exists for "
                 f"{[(d, s) for (d, s) in self.items]}")
@@ -101,23 +105,13 @@ class SiltingObject:
         return f"SiltingObject({list(self.items)})"
 
 
-def _module_dim_if_root(q, table, g):
-    """dim of the exceptional module with g-vector g, or None."""
-    d = dim_of_g(q, g)
-    if any(Fraction(x).denominator != 1 for x in d):
-        return None
-    d = tuple(int(x) for x in d)
-    if any(x < 0 for x in d) or all(x == 0 for x in d):
-        return None
-    return d if d in table.by_dim else None
-
-
 def silting_from_state(st):
     """Recover the dual silting object by inverting the signed column matrix.
 
-    G = (-1)^m D^{-1} (C_signed^t)^{-1} D; column j is matched to +/- the
-    g-vector of an exceptional module, the sign fixing the level as m - s_j
-    or m - 1 - s_j. The full graded duality pairing is then verified.
+    G = (-1)^m D^{-1} (C_signed^t)^{-1} D; column j is looked up as +/- the
+    g-vector of an exceptional module in table.by_g, the sign fixing the
+    level as m - s_j or m - 1 - s_j. The full graded duality pairing is then
+    verified.
     """
     ctx = st.context
     q = ctx.quiver
@@ -137,20 +131,17 @@ def silting_from_state(st):
     for j in range(ctx.n):
         s_j = st.slopes[j]
         col = tuple(int(g_mat[i][j]) for i in range(ctx.n))
-        base = tuple(x if (m - s_j) % 2 == 0 else -x for x in col)
-        dim1 = _module_dim_if_root(q, table, base)
-        if dim1 is not None:
-            level = m - s_j
-            g, dim = base, dim1
-        else:
-            neg = tuple(-x for x in base)
-            dim2 = _module_dim_if_root(q, table, neg) if s_j <= m - 1 else None
-            if dim2 is None:
-                raise DualityViolation(
-                    f"column {j + 1} is not +/- the g-vector of an "
-                    f"exceptional module")
+        g = tuple(x if (m - s_j) % 2 == 0 else -x for x in col)
+        level = m - s_j
+        rep = table.by_g.get(g)
+        if rep is None and s_j <= m - 1:
+            g = tuple(-x for x in g)
             level = m - 1 - s_j
-            g, dim = neg, dim2
+            rep = table.by_g.get(g)
+        if rep is None:
+            raise DualityViolation(
+                f"column {j + 1} is not +/- the g-vector of an "
+                f"exceptional module")
         if level == m:
             if sum(abs(x) for x in g) != 1 or max(g) != 1:
                 raise DualityViolation(
@@ -159,7 +150,7 @@ def silting_from_state(st):
             kind = "shifted-projective"
         else:
             kind = "module"
-        items.append(SiltingItem(g, level, kind, dim))
+        items.append(SiltingItem(g, level, kind, rep.dim))
     # full graded duality: g_i^t D |c_j| = 0 off-diagonal; on the diagonal
     # +f_i when level + slope = m and -f_i when level + slope = m - 1.
     for i, it in enumerate(items):

@@ -14,7 +14,7 @@ from .errors import (DualBrickNotFound, InconclusiveGenericity,
                      NotExceptionalSequence, UnsupportedType)
 from .intmat import rank as mat_rank
 from .intmat import det, dot, left_nullspace, nullspace, solve
-from .seed import dim_of_g, euler_pairing, g_of_dim
+from .seed import euler_pairing, g_of_dim
 
 
 # --- the indecomposable table ---
@@ -74,6 +74,7 @@ class IndecTable:
         self.quiver = quiver
         self.reps = [IndecRep(self, i, r) for i, r in enumerate(roots)]
         self.by_dim = {r.dim: r for r in self.reps}
+        self.by_g = {g_of_dim(quiver, r.dim): r for r in self.reps}
         self._euler_cache = {}
         self._subdims_cache = {}
 
@@ -84,11 +85,9 @@ class IndecTable:
         return len(self.reps)
 
     def projective(self, i):
-        """P_i (1-based vertex)."""
-        d = dim_of_g(self.quiver, tuple(1 if j == i - 1 else 0
-                                        for j in range(self.quiver.n)))
-        key = tuple(int(x) for x in d)
-        return self.by_dim[key]
+        """P_i (1-based vertex), the indecomposable with g-vector e_i."""
+        return self.by_g[tuple(1 if j == i - 1 else 0
+                               for j in range(self.quiver.n))]
 
     def simple(self, i):
         return self.by_dim[tuple(1 if j == i - 1 else 0
@@ -126,8 +125,7 @@ def _positive_roots(cartan, n):
             continue
         roots.add(v)
         for i in range(n):
-            pairing = sum(cartan[i][j] * v[j] for j in range(n))
-            w = tuple(v[j] - (pairing if j == i else 0) for j in range(n))
+            w = _reflect_vector(cartan, v, i)
             if all(x >= 0 for x in w) and any(x > 0 for x in w) and w not in roots:
                 queue.append(w)
         if len(roots) > 1000:
@@ -504,8 +502,7 @@ def torsion_class_of_state(st):
     modules = []
     for item in silting.items:
         if item.level == 0:
-            d = dim_of_g(q, item.g)
-            modules.append(table.by_dim[tuple(int(x) for x in d)])
+            modules.append(table.by_dim[item.dim])
     support = set()
     for m in modules:
         support.update(v for v in range(q.n) if m.dim[v])

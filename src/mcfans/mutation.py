@@ -3,8 +3,11 @@
 A state is its graded c-vectors: the nonnegative column matrix |C| and a
 slope (grade) per column, for a fixed level m.  The exchange matrix is not
 stored; it is derived as B = D^{-1} C^T D B0 C, with C the signed matrix whose
-columns are (-1)^{s_j} |c_j|.  mu_plus raises the slope at one vertex and
-fires the neighbouring columns; mu_minus is its exact inverse.
+columns are (-1)^{s_j} |c_j|.  One rule moves the slope at a vertex k by a
+step of +1 (mu_plus) or -1 (mu_minus): along row k of B, the columns at k's
+old slope gain a multiple of |c_k|, and those at the slope k moves to lose
+one, turning back to k's old slope if they become nonpositive.  mu_minus is
+the exact inverse of mu_plus.
 """
 
 from . import seed as seedmod
@@ -111,100 +114,84 @@ def is_terminal(st):
 
 
 def _b_row(st, i):
-    """Row i (0-based) of B = D^{-1} C^T D B0 C in O(n^2).
+    """Row i (0-based) of B = D^{-1} C^T D B0 C in O(n^2), read off |C|:
+    B_ij = sigma_i sigma_j |c_i|^T (D B0) |c_j| / d_i, sigma_j = (-1)^{s_j}.
 
     Raises ValueError if the row is not integral.
     """
-    c = signed_c_matrix(st)
-    ci = [row[i] for row in c]
-    # row i of C^T D B0 is -(D B0 c_i), as D B0 is skew-symmetric
+    ci = st.column(i)
+    # |c_i|^T D B0 is -(D B0 |c_i|), as D B0 is skew-symmetric
     v = [-dot(row, ci) for row in st.context.DB0]
     d = st.context.quiver.symmetrizer[i]
+    parity = st.slopes[i] % 2
     out = []
-    for col in zip(*c):
+    for col, s in zip(zip(*st.absC), st.slopes):
         x = dot(v, col)
         if x % d:
             raise ValueError("B-consistency product is not integral")
-        out.append(x // d)
+        out.append(-(x // d) if (s - parity) % 2 else x // d)
     return tuple(out)
+
+
+def _slope(st, k):
+    """Slope at vertex k (1-based), after a range check."""
+    if not 1 <= k <= st.context.n:
+        raise ValueError(f"vertex index {k} out of range 1..{st.context.n}")
+    return st.slopes[k - 1]
+
+
+def _fire(st, k, step, error):
+    """Move the slope a = s_k to a + step (step = +1 or -1) and fire the
+    other columns with b = step * B_kj > 0: a column at slope a gains b|c_k|;
+    a column at slope a + step loses b|c_k| and, if that leaves it
+    nonpositive, is negated and takes slope a. A column left with mixed
+    signs (or zero) raises error.
+    """
+    kk = k - 1
+    a = st.slopes[kk]
+    cols = [list(col) for col in zip(*st.absC)]
+    slopes = list(st.slopes)
+    ck = cols[kk]
+    for j, b in enumerate(_b_row(st, kk)):
+        b *= step   # B_kk = 0, so column k never fires
+        if b <= 0:
+            continue
+        if slopes[j] == a:
+            cols[j] = [x + b * y for x, y in zip(cols[j], ck)]
+        elif slopes[j] == a + step:
+            w = [x - b * y for x, y in zip(cols[j], ck)]
+            if min(w) >= 0 and max(w) > 0:
+                cols[j] = w
+            elif max(w) <= 0 and min(w) < 0:
+                cols[j] = [-x for x in w]
+                slopes[j] = a
+            else:
+                raise error(
+                    f"column {j + 1} lost sign coherence while mutating at {k}")
+    slopes[kk] = a + step
+    return MutationState(st.context, zip(*cols), slopes)
 
 
 def mu_plus(st, k):
     """Positive mutation at vertex k (1-based). Raises SlopeAtMax/SignIncoherence."""
-    ctx = st.context
-    n = ctx.n
-    kk = k - 1
-    if not 0 <= kk < n:
-        raise ValueError(f"vertex index {k} out of range 1..{n}")
-    sk = st.slopes[kk]
-    if sk == ctx.m:
-        raise SlopeAtMax(f"slope at vertex {k} already equals m = {ctx.m}")
-    cols = [list(st.column(j)) for j in range(n)]
-    slopes = list(st.slopes)
-    ck = cols[kk]
-    bk = _b_row(st, kk)
-    for j in range(n):
-        if j == kk:
-            continue
-        b = bk[j]
-        if b <= 0:
-            continue
-        if slopes[j] == sk:
-            cols[j] = [x + b * y for x, y in zip(cols[j], ck)]
-        elif slopes[j] == sk + 1:
-            w = [x - b * y for x, y in zip(cols[j], ck)]
-            if all(x >= 0 for x in w) and any(x > 0 for x in w):
-                cols[j] = w
-            elif all(x <= 0 for x in w) and any(x < 0 for x in w):
-                cols[j] = [-x for x in w]
-                slopes[j] = sk
-            else:
-                raise SignIncoherence(
-                    f"column {j + 1} lost sign coherence while mutating at {k}")
-    slopes[kk] = sk + 1
-    return MutationState(ctx, zip(*cols), slopes)
+    if _slope(st, k) == st.context.m:
+        raise SlopeAtMax(f"slope at vertex {k} already equals m = {st.context.m}")
+    return _fire(st, k, 1, SignIncoherence)
 
 
 def mu_minus(st, k):
-    """Inverse mutation at vertex k (1-based).
+    """Inverse mutation at vertex k (1-based): the rule of mu_plus with the
+    step negated.
 
     The old B row at k is the negated current row (a consequence of the
-    B-consistency invariant). A column j at slope sigma = s_k - 1 either kept
-    its slope (old = new - b*c_k, then >= 0) or dropped to it (old =
-    b*c_k - new at slope sigma + 1); at most one of the two is nonnegative
-    and nonzero, so the preimage is unique. It is round-tripped through
-    mu_plus once before it is returned.
+    B-consistency invariant), so a column at slope s_k - 1 either kept its
+    slope or dropped to it; at most one of the two preimages is nonnegative
+    and nonzero. The candidate is round-tripped through mu_plus once before
+    it is returned.
     """
-    ctx = st.context
-    n = ctx.n
-    kk = k - 1
-    if not 0 <= kk < n:
-        raise ValueError(f"vertex index {k} out of range 1..{n}")
-    if st.slopes[kk] == 0:
+    if _slope(st, k) == 0:
         raise SlopeAtMin(f"slope at vertex {k} is already 0")
-    sigma = st.slopes[kk] - 1
-    cols = [list(st.column(j)) for j in range(n)]
-    slopes = list(st.slopes)
-    ck = cols[kk]
-    bk = _b_row(st, kk)
-    slopes[kk] = sigma
-    for j in range(n):
-        b = -bk[j]
-        if j == kk or b <= 0:
-            continue
-        if slopes[j] == sigma + 1:
-            cols[j] = [x + b * y for x, y in zip(cols[j], ck)]
-        elif slopes[j] == sigma:
-            w = [x - b * y for x, y in zip(cols[j], ck)]
-            if all(x >= 0 for x in w) and any(x > 0 for x in w):
-                cols[j] = w
-            elif all(x <= 0 for x in w) and any(x < 0 for x in w):
-                cols[j] = [-x for x in w]
-                slopes[j] = sigma + 1
-            else:
-                raise NotInvertibleHere(
-                    f"no admissible preimage column {j + 1} under mu_minus at {k}")
-    candidate = MutationState(ctx, zip(*cols), slopes)
+    candidate = _fire(st, k, -1, NotInvertibleHere)
     try:
         # candidate.B raises ValueError unless the derived B is integral
         if mu_plus(candidate, k) == st and candidate.B:
@@ -269,20 +256,17 @@ def validate_state(st):
 
 # --- serialization ---
 
-_PRESET_NAMES = {"a2", "a3", "a2tilde"}
-
-
 def state_to_json(st):
     q = st.context.quiver
-    if q.name and (q.name in _PRESET_NAMES or q.name.startswith("a_n:")):
-        qjson = q.name
-    else:
-        qjson = q.to_json()
+    try:
+        named = bool(q.name) and seedmod.preset(q.name) == q
+    except ValueError:  # not a preset name
+        named = False
     return {"B": [list(r) for r in st.B],
             "absC": [list(r) for r in st.absC],
             "slopes": list(st.slopes),
             "m": st.context.m,
-            "quiver": qjson}
+            "quiver": q.name if named else q.to_json()}
 
 
 def state_from_json(data, context=None):

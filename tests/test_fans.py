@@ -1,13 +1,18 @@
 """Configurations, silting recovery, fan algebras and tagged wall sets."""
 
+from itertools import permutations, product
+
 import pytest
 
+from mcfans.enumeration import exchange_graph
 from mcfans.errors import DualityViolation, NotConfigurable
 from mcfans.fans import (MConfiguration, check_hv_invariance,
                          configuration_of_state, fan_wall_set,
                          horizontal_algebra, silting_from_state,
                          vertical_algebra)
+from mcfans.finrep import is_exceptional_sequence
 from mcfans.mutation import MutationContext, MutationState, initial_state, mu_plus
+from mcfans.seed import ValuedQuiver, preset
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +42,35 @@ def test_not_configurable(q2):
         MConfiguration(q2, 3, [((2, 1), 0), ((0, 1), 0)])  # not a root
     with pytest.raises(NotConfigurable):
         MConfiguration(q2, 3, [((1, 0), 4), ((0, 1), 0)])  # slope out of range
+
+
+def _first_admissible_by_search(cfg):
+    """The first slope-sorted order, each equal-slope block permuted in
+    lexicographic order, that is an exceptional sequence (or None)."""
+    mods = cfg.modules()
+    blocks = [[j for j, (_d, s) in enumerate(cfg.items) if s == slope]
+              for slope in sorted({s for (_d, s) in cfg.items})]
+    for perms in product(*(permutations(b) for b in blocks)):
+        perm = sum(perms, ())
+        if is_exceptional_sequence([mods[j] for j in perm]):
+            return perm
+    return None
+
+
+def test_ordering_matches_the_permutation_search():
+    d4 = ValuedQuiver(4, ((1, -1, -1, -1), (0, 1, 0, 0), (0, 0, 1, 0),
+                          (0, 0, 0, 1)), name="d4")
+    cases = [(preset(name), m) for name in ("a3", "a_n:<><") for m in (1, 2)]
+    states = 0
+    for q, m in cases + [(d4, 1)]:
+        for st in exchange_graph(MutationContext(q, m)).nodes.values():
+            cfg = configuration_of_state(st)
+            assert cfg.ordering == _first_admissible_by_search(cfg), st
+            # reversed columns break the ties between free pairs the other way
+            rev = MConfiguration(q, m, cfg.items[::-1])
+            assert rev.ordering == _first_admissible_by_search(rev), st
+            states += 1
+    assert states == 14 + 55 + 42 + 273 + 50
 
 
 # --- silting recovery ---

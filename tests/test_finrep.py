@@ -15,7 +15,7 @@ from mcfans.finrep import (ShiftedProjective, Wall, canonical_decomposition,
                            restricted_walls, span_of, submodule_dims,
                            torsion_class_of_state, verify_chamber, wall_of)
 from mcfans.mutation import MutationContext
-from mcfans.seed import ValuedQuiver, euler_pairing, preset
+from mcfans.seed import ValuedQuiver, dim_of_g, euler_pairing, g_of_dim, preset
 
 # --- tables ---
 
@@ -146,6 +146,39 @@ def test_walls_fans_and_torsion_build_no_matrices(monkeypatch, capsys):
                 for st in graph.nodes.values()}) == 14
     sub = ValuedQuiver(3, ((1, 0, 0), (-1, 1, 0), (0, 0, 1)), name="a2xa1")
     assert restricted_walls(q3, sub).ok
+
+
+def test_g_vector_lookup_inverts_dim_of_g():
+    e6 = _quiver(6, [(0, 1), (2, 1), (2, 3), (4, 3), (5, 2)])
+    roots = 0
+    for q in _small_dynkin() + [e6]:
+        table = indecomposables(q)
+        assert len(table.by_g) == len(table)
+        for r in table:
+            g = g_of_dim(q, r.dim)
+            assert table.by_g[g] is r
+            assert dim_of_g(q, g) == r.dim
+            roots += 1
+    assert roots == 2 * 3 + 4 * 6 + 8 * 10 + 16 * 15 + 8 * 12 + 16 * 20 + 36
+
+
+def test_silting_and_torsion_solve_no_linear_system(monkeypatch):
+    import mcfans.intmat
+    from mcfans.fans import silting_from_state
+
+    def refuse(*args):
+        raise AssertionError("a linear system was solved")
+
+    monkeypatch.setattr(mcfans.intmat, "solve", refuse)
+    q3 = preset("a3")
+    for m in (1, 2, 3):
+        for st in exchange_graph(MutationContext(q3, m)).nodes.values():
+            assert len(silting_from_state(st).items) == 3
+            if m == 1:
+                torsion_class_of_state(st)
+    table = indecomposables(q3)
+    assert [table.projective(i).dim for i in (1, 2, 3)] == \
+        [(1, 0, 0), (1, 1, 1), (0, 0, 1)]
 
 
 def test_hom_rejects_foreign_pairs(table2, table3):

@@ -169,6 +169,21 @@ def test_state_json_round_trip_custom(qb2):
     assert back == st
 
 
+def test_state_json_names_only_the_preset_itself():
+    # the a3 preset is 1 <- 2 -> 3; this quiver only borrows its name
+    q = ValuedQuiver(3, ((1, 0, 0), (-1, 1, 0), (0, -1, 1)), name="a3")
+    st = mu_plus(initial_state(MutationContext(q, 2)), 1)
+    data = state_to_json(st)
+    assert data["quiver"] == q.to_json()
+    assert state_from_json(data) == st
+    for name in ("a2", "a3", "a2tilde", "a_n:<><"):
+        st = mu_plus(initial_state(MutationContext(preset(name), 2)), 2)
+        data = state_to_json(st)
+        assert list(data) == ["B", "absC", "slopes", "m", "quiver"]
+        assert data["quiver"] == name
+        assert state_from_json(data) == st
+
+
 def test_state_json_rejects_altered_b(ctx2, qb2):
     for st in (_state(ctx2, CHAIN[3]),
                mu_plus(initial_state(MutationContext(qb2, 2)), 1)):
