@@ -14,7 +14,7 @@ Run:  python3 demos/quantum_dilog.py
 from mcfans import (MutationContext, PairingForm, check_pentagon,
                     check_square, dilog_series, dt_invariant_check,
                     edge_invariant_check, enumerate_mgs, exchange_graph,
-                    green_path_counts, indecomposables, preset)
+                    green_paths, indecomposables, preset)
 from mcfans.errors import HypothesisViolated
 
 
@@ -57,10 +57,10 @@ def main():
 
     # --- the same verdict from one product per green edge ---
     graph = exchange_graph(ctx, depth_cap=8)
-    counts = green_path_counts(graph, 8)
+    count = green_paths(graph, 8).count
     edges = edge_invariant_check(ctx, graph, 4)
     print(f"invariance across {len(graph.edges)} green edges: ok={edges.ok}, "
-          f"{counts[graph.initial, 8]} green paths counted")
+          f"{count} green paths counted")
     print(f"both checks report the same series: "
           f"{edges.series.to_json() == report.series.to_json()}")
 

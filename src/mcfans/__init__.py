@@ -8,7 +8,7 @@ from .mutation import (MutationContext, MutationState, GradedVector,
                        initial_state, mu_plus, mu_minus, validate_state,
                        signed_c_matrix, is_terminal)
 from .enumeration import (canonical_key, exchange_graph, enumerate_mgs,
-                          green_path_counts, longest_mgs, fan_components,
+                          green_paths, longest_mgs, fan_components,
                           fuss_catalan, classify_edge, graph_to_json,
                           mgs_to_json)
 from .finrep import (IndecTable, ShiftedProjective, Wall, indecomposables,

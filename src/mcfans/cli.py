@@ -15,8 +15,7 @@ from fractions import Fraction
 
 from .dilog import edge_invariant_check
 from .enumeration import (enumerate_mgs, exchange_graph, fan_components,
-                          graph_to_json, green_path_counts, longest_mgs,
-                          mgs_to_json, mgs_truncated)
+                          graph_to_json, green_paths, longest_mgs, mgs_to_json)
 from .errors import McfError
 from .fans import configuration_of_state, horizontal_algebra, vertical_algebra
 from .finrep import indecomposables, wall_of
@@ -62,13 +61,14 @@ def _resolve_int(flag_value, env_name, default, parser):
 def _parse_pole(text, parser):
     if text is None:
         return None
-    parts = text.split(",")
-    if len(parts) != 3:
-        parser.error(f"--pole needs three comma-separated rationals, got {text!r}")
     try:
-        return tuple(Fraction(p.strip()) for p in parts)
+        pole = tuple(Fraction(p.strip()) for p in text.split(","))
     except (ValueError, ZeroDivisionError):
-        parser.error(f"--pole components must be rationals, got {text!r}")
+        pole = ()
+    if len(pole) != 3 or not any(pole):
+        parser.error(f"--pole needs three comma-separated rationals, not all "
+                     f"zero, got {text!r}")
+    return pole
 
 
 def _quiver(args, parser):
@@ -113,10 +113,9 @@ def _cmd_mgs(args, parser):
         parser.error("mgs needs --depth-cap (or --longest)")
     if args.count:
         graph = exchange_graph(ctx, node_cap=cap, depth_cap=args.depth_cap)
-        counts = green_path_counts(graph, args.depth_cap)
-        _emit({"quiver": args.quiver, "m": args.m,
-               "count": counts.get((graph.initial, args.depth_cap), 0),
-               "truncated": mgs_truncated(graph, args.depth_cap)})
+        paths = green_paths(graph, args.depth_cap)
+        _emit({"quiver": args.quiver, "m": args.m, "count": paths.count,
+               "truncated": paths.truncated})
         return 0
     result = enumerate_mgs(ctx, args.depth_cap, node_cap=cap)
     log.info("found %d sequences (truncated=%s)", len(result), result.truncated)
@@ -179,10 +178,8 @@ def _cmd_render(args, parser):
 
 def _cmd_dilog(args, parser):
     ctx = _context(args, parser)
-    cap = args.depth_cap
-    graph = exchange_graph(ctx, depth_cap=cap)
-    counts = green_path_counts(graph, cap)
-    count = counts.get((graph.initial, cap), 0)
+    graph = exchange_graph(ctx, depth_cap=args.depth_cap)
+    count = green_paths(graph, args.depth_cap).count
     if not count:
         parser.error("no green sequences found within the depth cap")
     report = edge_invariant_check(ctx, graph, args.truncate)

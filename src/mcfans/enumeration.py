@@ -10,9 +10,10 @@ while expanding a representative.
 
 import json
 import math
+from collections import namedtuple
 
 from .errors import NodeCapExceeded, SlopeAtMax
-from .mutation import initial_state, is_terminal, mu_plus, state_to_json
+from .mutation import initial_state, is_terminal, mu_plus, states_to_json
 
 DEFAULT_NODE_CAP = 100000
 
@@ -149,23 +150,15 @@ def enumerate_mgs(ctx, depth_cap, node_cap=None):
 
     Every such sequence is a green path of at most depth_cap steps, so the
     listing works on exchange_graph(ctx, depth_cap=depth_cap): the walk
-    enters only branches that green_path_counts says can still end, and
-    truncated is true iff some non-terminal node is depth_cap or more steps
-    from the initial node along a green path.  Raises NodeCapExceeded if
-    the capped graph exceeds node_cap nodes.
+    enters a node only if green_paths says it is at most the steps left
+    from a terminal node, and truncated is true iff some non-terminal node
+    is depth_cap or more steps from the initial node along a green path.
+    Raises NodeCapExceeded if the capped graph exceeds node_cap nodes.
     """
     graph = exchange_graph(ctx, node_cap=node_cap, depth_cap=depth_cap)
-    records = list(_walk_mgs(ctx, green_path_counts(graph, depth_cap),
-                             depth_cap))
-    return MgsResult(records, mgs_truncated(graph, depth_cap))
-
-
-def mgs_truncated(graph, depth_cap):
-    """Whether some non-terminal node of the graph is depth_cap or more
-    steps from the initial node along a green path."""
-    terminals = set(graph.terminals)
-    return any(d >= depth_cap for key, d in
-               _longest_distances(graph).items() if key not in terminals)
+    paths = green_paths(graph, depth_cap)
+    records = list(_walk_mgs(ctx, paths.to_end, depth_cap))
+    return MgsResult(records, paths.truncated)
 
 
 def _green_moves(st, memo):
@@ -183,19 +176,19 @@ def _green_moves(st, memo):
     return moves
 
 
-def _walk_mgs(ctx, counts, depth_cap):
-    """Yield the records of enumerate_mgs in order, given
-    green_path_counts(graph, depth_cap).  DFS over concrete states on an
-    explicit stack, so the depth is not bounded by Python's recursion limit;
-    a move is entered only if its target still has a green path to a
-    terminal node within the steps left, so every branch ends in a record."""
+def _walk_mgs(ctx, to_end, depth_cap):
+    """Yield the records of enumerate_mgs in order, given the to_end of
+    green_paths(graph, depth_cap).  DFS over concrete states on an explicit
+    stack, so the depth is not bounded by Python's recursion limit; a move
+    is entered only if its target is at most the steps left from a terminal
+    node, so every branch entered ends in a record."""
     memo = {}
     path, crossings = [], []  # path[d] leads from stack[d] to stack[d + 1]
     stack = [iter(_green_moves(initial_state(ctx), memo))]
     while stack:
         left = depth_cap - len(stack)  # steps left after the next move
         for k, nxt, column, terminal, key in stack[-1]:
-            if (key, left) in counts:
+            if to_end.get(key, left + 1) <= left:
                 break
         else:
             stack.pop()
@@ -213,89 +206,73 @@ def _walk_mgs(ctx, counts, depth_cap):
             stack.append(iter(_green_moves(nxt, memo)))
 
 
-def _successors(graph):
+GreenPaths = namedtuple("GreenPaths", "longest to_end count truncated")
+
+
+def green_paths(graph, depth_cap=None):
+    """Green-path facts of an exchange graph, all from one topological order.
+
+    longest[key]: the most steps from the initial node to key.
+    to_end[key]: the fewest steps from key to a terminal node; keys that
+    reach none are missing.
+    With depth_cap, count is the number of green paths of at most depth_cap
+    steps from the initial to a terminal node (the maximal green sequences
+    enumerate_mgs lists), and truncated is true iff some non-terminal node
+    is depth_cap or more steps from the initial node; without it both are
+    None.  Raises ValueError if the green edges have a directed cycle.
+    """
+    if depth_cap is not None and depth_cap < 1:
+        raise ValueError("depth_cap must be >= 1")
     succ = {key: [] for key in graph.nodes}
+    indeg = dict.fromkeys(graph.nodes, 0)
     for (u, v, _k, _p) in graph.edges:
         succ[u].append(v)
-    return succ
-
-
-def green_path_counts(graph, depth_cap):
-    """Number of green paths of at most s steps from a node to a terminal
-    one, as a dict {(key, s): count}.  It holds the pairs with a nonzero
-    count that green paths from (graph.initial, depth_cap) reach; a missing
-    pair counts 0.  The entry (graph.initial, depth_cap) is the number of
-    maximal green sequences enumerate_mgs lists at depth_cap.
-
-    Iterative DP: a BFS on reversed edges gives each node's fewest steps to
-    a terminal node; the nodes reached after d steps that can still end
-    within depth_cap - d steps form layer d; counts run from the last layer
-    back to the initial node.
-    """
-    if depth_cap < 1:
-        raise ValueError("depth_cap must be >= 1")
-    succ = _successors(graph)
-    pred = {key: [] for key in graph.nodes}
-    for (u, v, _k, _p) in graph.edges:
-        pred[v].append(u)
-    to_end = dict.fromkeys(graph.terminals, 0)
-    queue = list(graph.terminals)
-    for v in queue:
-        for u in pred[v]:
-            if u not in to_end:
-                to_end[u] = to_end[v] + 1
-                queue.append(u)
-    if to_end.get(graph.initial, depth_cap + 1) > depth_cap:
-        return {}
-    layers = [{graph.initial}]
-    for left in range(depth_cap - 1, -1, -1):
-        layers.append({v for u in layers[-1] if to_end[u] for v in succ[u]
-                       if to_end.get(v, left + 1) <= left})
-    counts = {}
-    for left, layer in enumerate(reversed(layers)):
-        for u in layer:
-            counts[u, left] = (sum(counts.get((v, left - 1), 0)
-                                   for v in succ[u]) if to_end[u] else 1)
-    return counts
-
-
-def _toposort_green(graph):
-    """Topological order of nodes under green edges; raises if cyclic."""
-    out = _successors(graph)
-    indeg = {key: 0 for key in graph.nodes}
-    for (_u, v, _k, _p) in graph.edges:
         indeg[v] += 1
-    order = [k for k in sorted(indeg) if indeg[k] == 0]
-    qi = 0
-    while qi < len(order):
-        u = order[qi]
-        qi += 1
-        for v in sorted(out[u]):
+    # Kahn's algorithm; order grows while it is read, and each node's
+    # longest distance is final when the node is read
+    order = [key for key, d in indeg.items() if d == 0]
+    longest = {graph.initial: 0}
+    for u in order:
+        for v in succ[u]:
+            longest[v] = max(longest.get(v, 0), longest[u] + 1)
             indeg[v] -= 1
             if indeg[v] == 0:
                 order.append(v)
     if len(order) != len(graph.nodes):
         raise ValueError("green-edge relation has a directed cycle")
-    return order
-
-
-def _longest_distances(graph):
-    """Length of the longest green path from the initial node to each node."""
-    succ = _successors(graph)
-    dist = {graph.initial: 0}
-    for u in _toposort_green(graph):
-        for v in succ[u]:
-            dist[v] = max(dist.get(v, 0), dist[u] + 1)
-    return dist
+    to_end = dict.fromkeys(graph.terminals, 0)
+    for u in reversed(order):
+        ends = [to_end[v] for v in succ[u] if v in to_end]
+        if ends:
+            to_end[u] = min(ends) + 1
+    if depth_cap is None:
+        return GreenPaths(longest, to_end, None, None)
+    # layer d maps each node that is d steps from the initial node and can
+    # still end within depth_cap - d steps to its number of such paths
+    terminals = set(graph.terminals)
+    count, left, layer = 0, depth_cap, {graph.initial: 1}
+    while layer:
+        left -= 1
+        nxt = {}
+        for u, ways in layer.items():
+            if u in terminals:
+                count += ways
+            for v in succ[u]:
+                if to_end.get(v, left + 1) <= left:
+                    nxt[v] = nxt.get(v, 0) + ways
+        layer = nxt
+    truncated = any(d >= depth_cap for key, d in longest.items()
+                    if key not in terminals)
+    return GreenPaths(longest, to_end, count, truncated)
 
 
 def longest_mgs(ctx, node_cap=None):
     """Length of the longest green path from the initial to a terminal node."""
     graph = exchange_graph(ctx, node_cap=node_cap)
-    dist = _longest_distances(graph)
+    longest = green_paths(graph).longest
     if not graph.terminals:
         raise ValueError("no terminal node reachable from the initial state")
-    return max(dist[t] for t in graph.terminals)
+    return max(longest[t] for t in graph.terminals)
 
 
 def fan_components(graph, parity):
@@ -329,9 +306,11 @@ def fan_components(graph, parity):
 # --- serialization ---
 
 def graph_to_json(graph):
+    keys = sorted(graph.nodes)
+    states = states_to_json([graph.nodes[key] for key in keys])
     return {
-        "nodes": [{"key": key, "state": state_to_json(graph.nodes[key])}
-                  for key in sorted(graph.nodes)],
+        "nodes": [{"key": key, "state": state}
+                  for key, state in zip(keys, states)],
         "edges": [{"from": u, "to": v, "k": k, "parity": p}
                   for (u, v, k, p) in sorted(graph.edges)],
         "initial": graph.initial,

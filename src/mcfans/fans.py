@@ -1,17 +1,14 @@
 """Configurations, silting recovery, horizontal/vertical algebras, fan walls.
 
 A state's columns are read as graded exceptional modules (a configuration);
-inverting the signed column matrix recovers the dual silting object; grouping
-slopes in closed pairs yields the horizontal and vertical algebra factors
-whose brick walls assemble the fans.
+the graded duality pairing against them recovers the dual silting object;
+grouping slopes in closed pairs yields the horizontal and vertical algebra
+factors whose brick walls assemble the fans.
 """
-
-from fractions import Fraction
 
 from .errors import DualityViolation, NotConfigurable
 from .finrep import indecomposables, is_exceptional_sequence, span_of, wall_of
-from .intmat import inverse, transpose
-from .mutation import mu_plus, signed_c_matrix
+from .mutation import mu_plus
 
 
 # --- configurations ---
@@ -106,73 +103,43 @@ class SiltingObject:
 
 
 def silting_from_state(st):
-    """Recover the dual silting object by inverting the signed column matrix.
+    """Recover the dual silting object from the graded duality pairing.
 
-    G = (-1)^m D^{-1} (C_signed^t)^{-1} D; column j is looked up as +/- the
-    g-vector of an exceptional module in table.by_g, the sign fixing the
-    level as m - s_j or m - 1 - s_j. The full graded duality pairing is then
-    verified.
+    Summand i is the exceptional module whose g-vector g has g^T D |c_j| = 0
+    for every column j != i, and g^T D |c_i| = +d_i at level m - s_i or,
+    when s_i <= m - 1, -d_i at level m - 1 - s_i; + is tried first.  D|C| is
+    invertible, so each sign has at most one such g, and the summands found
+    satisfy the full graded duality by construction.  A level-m summand
+    must be a shifted projective.
     """
     ctx = st.context
-    q = ctx.quiver
-    m = ctx.m
+    q, m, n = ctx.quiver, ctx.m, ctx.n
     d = q.symmetrizer
-    table = indecomposables(q)
-    csigned = signed_c_matrix(st)
-    ct_inv = inverse(transpose(csigned))
-    sign_m = -1 if m % 2 else 1
-    g_mat = [[Fraction(sign_m) * ct_inv[i][j] * d[j] / d[i]
-              for j in range(ctx.n)] for i in range(ctx.n)]
-    for row in g_mat:
-        for x in row:
-            if x.denominator != 1:
-                raise DualityViolation("silting g-matrix is not integral")
+    dc = [[d[v] * x for x in row] for v, row in enumerate(st.absC)]  # D|C|
+    paired = {}  # (column, sign of the pairing) -> (g, module)
+    for g, rep in indecomposables(q).by_g.items():
+        pair = [sum(g[v] * dc[v][j] for v in range(n)) for j in range(n)]
+        hits = [j for j in range(n) if pair[j]]
+        if len(hits) == 1 and abs(pair[hits[0]]) == d[hits[0]]:
+            paired[hits[0], pair[hits[0]] > 0] = (g, rep)
     items = []
-    for j in range(ctx.n):
-        s_j = st.slopes[j]
-        col = tuple(int(g_mat[i][j]) for i in range(ctx.n))
-        g = tuple(x if (m - s_j) % 2 == 0 else -x for x in col)
-        level = m - s_j
-        rep = table.by_g.get(g)
-        if rep is None and s_j <= m - 1:
-            g = tuple(-x for x in g)
-            level = m - 1 - s_j
-            rep = table.by_g.get(g)
-        if rep is None:
+    for i, s_i in enumerate(st.slopes):
+        if (i, True) in paired:
+            (g, rep), level = paired[i, True], m - s_i
+        elif (i, False) in paired and s_i <= m - 1:
+            (g, rep), level = paired[i, False], m - 1 - s_i
+        else:
             raise DualityViolation(
-                f"column {j + 1} is not +/- the g-vector of an "
-                f"exceptional module")
+                f"no exceptional module pairs with column {i + 1} alone")
         if level == m:
             if sum(abs(x) for x in g) != 1 or max(g) != 1:
                 raise DualityViolation(
-                    f"level-{m} summand at column {j + 1} is not a shifted "
+                    f"level-{m} summand at column {i + 1} is not a shifted "
                     f"projective")
             kind = "shifted-projective"
         else:
             kind = "module"
         items.append(SiltingItem(g, level, kind, rep.dim))
-    # full graded duality: g_i^t D |c_j| = 0 off-diagonal; on the diagonal
-    # +f_i when level + slope = m and -f_i when level + slope = m - 1.
-    for i, it in enumerate(items):
-        for j in range(ctx.n):
-            pair = sum(it.g[v] * d[v] * st.absC[v][j] for v in range(ctx.n))
-            if i != j:
-                if pair != 0:
-                    raise DualityViolation(
-                        f"graded pairing of summand {i + 1} against column "
-                        f"{j + 1} is nonzero")
-            elif it.level + st.slopes[j] == m:
-                if pair != d[i]:
-                    raise DualityViolation(
-                        f"diagonal pairing at {i + 1} is not +t^m f")
-            elif it.level + st.slopes[j] == m - 1:
-                if pair != -d[i]:
-                    raise DualityViolation(
-                        f"diagonal pairing at {i + 1} is not -t^(m-1) f")
-            else:
-                raise DualityViolation(
-                    f"level {it.level} at slope {st.slopes[j]} fits neither "
-                    f"grading case")
     return SiltingObject(q, m, items)
 
 

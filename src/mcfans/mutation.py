@@ -257,16 +257,22 @@ def validate_state(st):
 # --- serialization ---
 
 def state_to_json(st):
-    q = st.context.quiver
+    return states_to_json([st])[0]
+
+
+def states_to_json(states):
+    """state_to_json of each of a nonempty list of states of one quiver."""
+    q = states[0].context.quiver
     try:
         named = bool(q.name) and seedmod.preset(q.name) == q
     except ValueError:  # not a preset name
         named = False
-    return {"B": [list(r) for r in st.B],
-            "absC": [list(r) for r in st.absC],
-            "slopes": list(st.slopes),
-            "m": st.context.m,
-            "quiver": q.name if named else q.to_json()}
+    quiver = q.name if named else q.to_json()
+    return [{"B": [list(r) for r in st.B],
+             "absC": [list(r) for r in st.absC],
+             "slopes": list(st.slopes),
+             "m": st.context.m,
+             "quiver": quiver} for st in states]
 
 
 def state_from_json(data, context=None):

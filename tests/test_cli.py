@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -82,6 +83,17 @@ def test_mgs_count(quiver, m, cap, count, truncated, capsys):
                               "truncated": result.truncated},
                              indent=2) + "\n"
     assert (len(result), result.truncated) == (count, truncated)
+
+
+def test_mgs_count_work_stops_with_the_graph():
+    # a2 has 5 states, so a cap of a million must cost what a cap of 3 does
+    args = ("mgs", "--quiver", "a2", "--m", "1", "--count", "--depth-cap")
+    start = time.perf_counter()
+    proc = run_cli(*args, "1000000")
+    seconds = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_cli(*args, "3").stdout
+    assert seconds < 1.0
 
 
 def test_mgs_count_excludes_longest(capsys):
@@ -271,7 +283,9 @@ def test_usage_errors():
     for args in (["polish", "--quiver", "a2"], ["enumerate"],
                  ["enumerate", "--quiver", "d4"], ["mgs", "--quiver", "a2"],
                  ["dilog", "--quiver", "a2", "--truncate", "0"],
-                 ["render", "--quiver", "a3", "--samples", "0"]):
+                 ["render", "--quiver", "a3", "--samples", "0"],
+                 ["render", "--quiver", "a3", "--pole", "0,0,0",
+                  "--format", "stats"]):
         proc = run_cli(*args)
         assert proc.returncode == 2 and proc.stdout == "", args
         [line] = proc.stderr.splitlines()

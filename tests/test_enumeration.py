@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies
 
 from mcfans import enumeration
-from mcfans.enumeration import (DEFAULT_NODE_CAP, canonical_key,
-                                classify_edge, enumerate_mgs, exchange_graph,
-                                fan_components, fuss_catalan, graph_to_json,
-                                green_path_counts, longest_mgs, mgs_to_json)
+from mcfans.enumeration import (DEFAULT_NODE_CAP, ExchangeGraph,
+                                canonical_key, classify_edge, enumerate_mgs,
+                                exchange_graph, fan_components, fuss_catalan,
+                                graph_to_json, green_paths, longest_mgs,
+                                mgs_to_json)
 from mcfans.errors import NodeCapExceeded, NotInvertibleHere, SlopeAtMax
 from mcfans.mutation import (MutationContext, MutationState, initial_state,
                              mu_minus, mu_plus)
@@ -366,7 +367,7 @@ def test_first_mgs_none_when_nothing_ends(q2):
     assert len(enumerate_mgs(ctx, 1)) == 0
     graph = exchange_graph(ctx, depth_cap=1)
     assert graph.terminals == []
-    assert green_path_counts(graph, 1).get((graph.initial, 1), 0) == 0
+    assert green_paths(graph, 1).count == 0
 
 
 def test_mgs_skips_branches_that_cannot_end(q2t, monkeypatch):
@@ -409,6 +410,85 @@ def test_mgs_guards(q2):
 def test_longest(q2, q3):
     assert longest_mgs(MutationContext(q2, 3)) == 9
     assert longest_mgs(MutationContext(q3, 3)) == 18
+
+
+# --- green_paths against plain recursion over the edges ---
+
+@functools.lru_cache(maxsize=None)
+def _path_oracle(name, m):
+    """Context, full graph, count-and-truncated by cap, longest green path
+    and fewest steps to a terminal node, by memoized recursion over
+    graph.edges; shares no code with green_paths."""
+    ctx = MutationContext(preset(name), m)
+    graph = exchange_graph(ctx)
+    succ = {key: [] for key in graph.nodes}
+    for (u, v, _k, _p) in graph.edges:
+        succ[u].append(v)
+    terminals = set(graph.terminals)
+
+    @functools.lru_cache(maxsize=None)
+    def count(u, left):  # paths of at most left steps from u to a terminal
+        if u in terminals:
+            return 1
+        return sum(count(v, left - 1) for v in succ[u]) if left else 0
+
+    @functools.lru_cache(maxsize=None)
+    def goes_on(u, steps):  # a walk of exactly steps steps ends non-terminal
+        if steps == 0:
+            return u not in terminals
+        return any(goes_on(v, steps - 1) for v in succ[u])
+
+    @functools.lru_cache(maxsize=None)
+    def longest(u):
+        return max((longest(v) + 1 for v in succ[u]), default=0)
+
+    @functools.lru_cache(maxsize=None)
+    def fewest(u):
+        return 0 if u in terminals else min(fewest(v) + 1 for v in succ[u])
+
+    def by_cap(cap):
+        return count(graph.initial, cap), goes_on(graph.initial, cap)
+
+    return (ctx, graph, by_cap, longest(graph.initial),
+            {key: fewest(key) for key in graph.nodes})
+
+
+@pytest.mark.parametrize("name,m", [(name, m) for n in (2, 3, 4)
+                                    for name in _orientations(n)
+                                    for m in (1, 2, 3)])
+def test_green_paths_match_recursion(name, m):
+    # every cap up to one past the longest sequence, so both truncated and
+    # complete listings are checked; capped graphs of a4 at m >= 2 are
+    # sampled by the property test below
+    ctx, graph, by_cap, length, to_end = _path_oracle(name, m)
+    assert green_paths(graph).to_end == to_end
+    assert longest_mgs(ctx) == length == m * ctx.n * (ctx.n + 1) // 2
+    assert by_cap(1)[1] and not by_cap(length + 1)[1]
+    for cap in range(1, length + 2):
+        graphs = [graph]
+        if ctx.n <= 3 or m == 1:
+            graphs.append(exchange_graph(ctx, depth_cap=cap))
+        for g in graphs:
+            paths = green_paths(g, cap)
+            assert (paths.count, paths.truncated) == by_cap(cap), (cap, len(g))
+
+
+@settings(max_examples=20, deadline=10000)
+@given(data=strategies.data(), m=strategies.integers(min_value=2, max_value=3))
+def test_green_paths_match_recursion_on_capped_a4_graphs(data, m):
+    name = data.draw(strategies.sampled_from(_orientations(4)))
+    ctx, _graph, by_cap, length, _to_end = _path_oracle(name, m)
+    cap = data.draw(strategies.integers(min_value=1, max_value=length + 1))
+    paths = green_paths(exchange_graph(ctx, depth_cap=cap), cap)
+    assert (paths.count, paths.truncated) == by_cap(cap)
+
+
+def test_green_paths_rejects_a_cycle():
+    graph = ExchangeGraph({"a": None, "b": None},
+                          [("a", "b", 1, "horizontal"),
+                           ("b", "a", 1, "horizontal")], "a", [])
+    with pytest.raises(ValueError, match="cycle"):
+        green_paths(graph)
 
 
 # --- parity components ---
