@@ -3,7 +3,7 @@ fans and quantum dilogarithm identities — all in exact arithmetic."""
 
 __version__ = "0.1.0"
 
-from .seed import ValuedQuiver, preset, exchange_matrix, euler_pairing, g_of_dim, dim_of_g
+from .seed import ValuedQuiver, preset, euler_pairing, g_of_dim
 from .mutation import (MutationContext, MutationState, GradedVector,
                        initial_state, mu_plus, mu_minus, validate_state,
                        signed_c_matrix, is_terminal)
@@ -15,10 +15,7 @@ from .finrep import (IndecTable, ShiftedProjective, Wall, indecomposables,
                      hom_dim, ext_dim, is_exceptional_sequence,
                      submodule_dims, wall_of, check_wall_membership,
                      verify_chamber, TorsionClass, torsion_class_of_state,
-                     perp_category, span_of, mutation_case_oracle,
-                     extension_middle, quotient_summand_dims,
-                     canonical_decomposition, generic_subdims,
-                     restricted_walls)
+                     span_of, restricted_walls)
 from .fans import (MConfiguration, configuration_of_state, SiltingItem,
                    SiltingObject, silting_from_state, FanAlgebra,
                    horizontal_algebra, vertical_algebra,

@@ -26,6 +26,10 @@ from .verify import format_report, run_verification
 
 log = logging.getLogger("mcfans")
 
+# Expanding one state runs n mutations of O(n^2) each and the node cap counts
+# only states, so larger quivers are refused before any state or table exists.
+MAX_VERTICES = 64
+
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors are one line on stderr."""
@@ -73,9 +77,13 @@ def _parse_pole(text, parser):
 
 def _quiver(args, parser):
     try:
-        return preset(args.quiver)
+        q = preset(args.quiver)
     except ValueError as exc:
         parser.error(str(exc))
+    if q.n > MAX_VERTICES:
+        raise ValueError(f"quiver has {q.n} vertices, more than the "
+                         f"{MAX_VERTICES} supported")
+    return q
 
 
 def _context(args, parser):

@@ -167,11 +167,6 @@ def qseries_one(truncation, form):
     return QSeries(truncation, form, {zero: lau_const(1)})
 
 
-def qseries_monomial(alpha, truncation, form):
-    den = Counter(range(1, sum(alpha) + 1))
-    return QSeries(truncation, form, {tuple(alpha): _den_expand(den)})
-
-
 def _gaussian_rows(top):
     """rows[n][k] = [n choose k]_q as a Laurent polynomial in v, n <= top,
     by q-Pascal: [n choose k] = [n-1 choose k-1] + q^k [n-1 choose k]."""

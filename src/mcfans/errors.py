@@ -48,10 +48,6 @@ class NotExceptionalSequence(McfError):
     """Sequence fails the hom/ext vanishing required of exceptional sequences."""
 
 
-class InconclusiveGenericity(McfError):
-    """Universal map was neither injective nor surjective; case undecidable."""
-
-
 # --- fans ---
 
 class NotConfigurable(McfError):

@@ -4,16 +4,15 @@ The indecomposables are the positive roots, and everything else — Hom/Ext
 dimensions (from the Euler form), exceptional sequences, perpendicular
 categories, stability walls, torsion classes — is computed from them. Exact
 rational matrices, built by reflection functors from simples, exist only for
-the reps whose maps are read: the mutation oracle and extension middles.
+the reps whose maps are read, by verify's hom/ext row and the test oracles.
 """
 
 from fractions import Fraction
-from itertools import product
 
-from .errors import (DualBrickNotFound, InconclusiveGenericity,
-                     NotExceptionalSequence, UnsupportedType)
+from .errors import (DualBrickNotFound, NotExceptionalSequence,
+                     UnsupportedType)
 from .intmat import rank as mat_rank
-from .intmat import det, dot, left_nullspace, nullspace, solve
+from .intmat import det, dot, left_nullspace, nullspace
 from .seed import euler_pairing, g_of_dim
 
 
@@ -517,21 +516,6 @@ def torsion_class_of_state(st):
 
 # --- perpendicular categories and spans ---
 
-def perp_category(s, side):
-    """Hom-Ext perpendicular of a set of indecomposables.
-
-    side='left': {X : Hom(X,M)=0=Ext(X,M) for all M in s};
-    side='right': {X : Hom(M,X)=0=Ext(M,X) for all M in s}.
-    """
-    s = [_as_rep(m) for m in s]
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    if not s:
-        raise ValueError("perp of an empty set needs an explicit table")
-    table = s[0].table
-    return _perp(table, s, side)
-
-
 def _perp(table, s, side):
     out = []
     for x in table:
@@ -561,235 +545,6 @@ def span_of(seq, table=None):
         raise AssertionError("span rank disagrees with the sequence length")
     if not out and seq:
         raise AssertionError("span of a nonempty sequence came out empty")
-    return out
-
-
-# --- the module-theoretic mutation oracle ---
-
-def _universal_map_ranks(basis, dims_src, dims_tgt, r, stacked):
-    """Per-vertex ranks of the universal map built from a full hom basis."""
-    n = len(dims_src)
-    ranks = []
-    for v in range(n):
-        if stacked == "cols":
-            # map E_k^r -> E_j at v: block row [h_1 | ... | h_r]
-            mat = [[basis[t][v][row][c] for t in range(r)
-                    for c in range(dims_src[v])]
-                   for row in range(dims_tgt[v])]
-        else:
-            # map E_j -> E_k^r at v: blocks stacked vertically
-            mat = [list(basis[t][v][row]) for t in range(r)
-                   for row in range(dims_tgt[v])]
-        ranks.append(mat_rank(mat) if mat and mat[0] else 0)
-    return ranks
-
-
-def mutation_case_oracle(e_k, e_j, r):
-    """Decide the module-theoretic mutation case for the pair (E_k, E_j).
-
-    Returns 'extension' (r = ext multiplicity), or 'mono'/'epi' according to
-    whether the canonical universal map built from the full Hom basis is
-    injective or surjective (exact ranks).
-    """
-    e_k, e_j = _as_rep(e_k), _as_rep(e_j)
-    if r < 1:
-        raise ValueError("multiplicity r must be >= 1")
-    q = e_k.table.quiver
-    if ext_dim(e_k, e_j) == r and hom_dim(e_k, e_j) == 0 and hom_dim(e_j, e_k) == 0:
-        return "extension"
-    if hom_dim(e_k, e_j) == r:
-        basis = hom_space(q, e_k.dim, e_k.maps, e_j.dim, e_j.maps)
-        ranks = _universal_map_ranks(basis, e_k.dim, e_j.dim, r, "cols")
-        if all(rk == r * e_k.dim[v] for v, rk in enumerate(ranks)):
-            return "mono"
-        if all(rk == e_j.dim[v] for v, rk in enumerate(ranks)):
-            return "epi"
-        raise InconclusiveGenericity("universal map is neither mono nor epi")
-    if hom_dim(e_j, e_k) == r:
-        basis = hom_space(q, e_j.dim, e_j.maps, e_k.dim, e_k.maps)
-        ranks = _universal_map_ranks(basis, e_j.dim, e_k.dim, r, "rows")
-        if all(rk == r * e_k.dim[v] for v, rk in enumerate(ranks)):
-            return "epi"
-        if all(rk == e_j.dim[v] for v, rk in enumerate(ranks)):
-            return "mono"
-        raise InconclusiveGenericity("universal map is neither mono nor epi")
-    raise ValueError(
-        f"r={r} matches neither the hom nor the ext multiplicity of the pair")
-
-
-# --- extensions, decomposition, closure oracles ---
-
-def decompose(table, dims, maps):
-    """Multiset of indecomposable ids summing to the given representation,
-    determined by Hom counts against the full table."""
-    q = table.quiver
-    reps = table.reps
-    hvec = [len(hom_space(q, t.dim, t.maps, dims, maps)) for t in reps]
-    hmat = [[hom_dim(t, u) for u in reps] for t in reps]
-    mults = solve(hmat, hvec)
-    out = []
-    for i, mult in enumerate(mults):
-        f = Fraction(mult)
-        if f.denominator != 1 or f < 0:
-            raise AssertionError("hom-count decomposition is not integral")
-        out.extend([i] * int(f))
-    if tuple(sum(reps[i].dim[v] for i in out) for v in range(q.n)) != tuple(dims):
-        raise AssertionError("decomposition does not match the dimension vector")
-    return out
-
-
-def extension_middle(a, b):
-    """Summand ids of the middle term of a nonsplit extension 0->b->E->a->0."""
-    a, b = _as_rep(a), _as_rep(b)
-    table = a.table
-    q = table.quiver
-    if ext_dim(a, b) == 0:
-        raise ValueError("the pair has no nonsplit extension")
-    arrows = [(u, w) for (u, w, _) in q.arrows()]
-    # coboundary image: delta(phi)_(u,w) = B_(u,w) phi_u - phi_w A_(u,w)
-    slots = [(arr, r, c) for arr in arrows
-             for r in range(b.dim[arr[1]]) for c in range(a.dim[arr[0]])]
-    phidims = [(v, r, c) for v in range(q.n)
-               for r in range(b.dim[v]) for c in range(a.dim[v])]
-    img_rows = []
-    for (pv, pr, pc) in phidims:
-        col = []
-        for ((u, w), r, c) in slots:
-            val = Fraction(0)
-            if pv == u and pc == c:
-                val += b.maps[(u, w)][r][pr]
-            if pv == w and pr == r:
-                val -= a.maps[(u, w)][pc][c]
-            col.append(val)
-        img_rows.append(col)
-    existing = [row[:] for row in img_rows]
-    base_rank = mat_rank(existing) if existing else 0
-    chosen = None
-    for t in range(len(slots)):
-        zvec = [Fraction(1) if i == t else Fraction(0) for i in range(len(slots))]
-        if mat_rank(existing + [zvec]) > base_rank:
-            chosen = zvec
-            break
-    if chosen is None:
-        raise AssertionError("no nonsplit cocycle found despite ext > 0")
-    dims = tuple(b.dim[v] + a.dim[v] for v in range(q.n))
-    maps = {}
-    for (u, w) in arrows:
-        mat = [[Fraction(0)] * dims[u] for _ in range(dims[w])]
-        for r in range(b.dim[w]):
-            for c in range(b.dim[u]):
-                mat[r][c] = b.maps[(u, w)][r][c]
-        for r in range(a.dim[w]):
-            for c in range(a.dim[u]):
-                mat[b.dim[w] + r][b.dim[u] + c] = a.maps[(u, w)][r][c]
-        for idx, ((au, aw), r, c) in enumerate(slots):
-            if (au, aw) == (u, w) and chosen[idx]:
-                mat[r][b.dim[u] + c] = chosen[idx]
-        maps[(u, w)] = tuple(tuple(row) for row in mat)
-    return decompose(table, dims, maps)
-
-
-def quotient_summand_dims(z):
-    """All dimension vectors of indecomposable summands of proper quotients of
-    a multiplicity-free representation z (all dims 0/1)."""
-    z = _as_rep(z)
-    if any(x > 1 for x in z.dim):
-        raise ValueError("quotient oracle only handles multiplicity-free reps")
-    q = z.table.quiver
-    supp = frozenset(v for v in range(q.n) if z.dim[v])
-    # a thin indecomposable of a tree quiver is nonzero on every arrow
-    # inside its support
-    live = [(u, w) for (u, w, _) in q.arrows() if u in supp and w in supp]
-    out = set()
-    subsets = []
-    for bits in range(1 << len(supp)):
-        verts = [v for i, v in enumerate(sorted(supp)) if bits >> i & 1]
-        sset = frozenset(verts)
-        if all(not (u in sset and w not in sset) for (u, w) in live):
-            subsets.append(sset)
-    for sub in subsets:
-        rest = supp - sub
-        if not rest or rest == supp:
-            continue
-        # connected components of the quotient support under live arrows
-        comp = {v: v for v in rest}
-
-        def find(v):
-            while comp[v] != v:
-                comp[v] = comp[comp[v]]
-                v = comp[v]
-            return v
-
-        for (u, w) in live:
-            if u in rest and w in rest:
-                ru, rw = find(u), find(w)
-                if ru != rw:
-                    comp[ru] = rw
-        groups = {}
-        for v in rest:
-            groups.setdefault(find(v), set()).add(v)
-        for g in groups.values():
-            out.add(tuple(1 if v in g else 0 for v in range(q.n)))
-    return out
-
-
-# --- generic subrepresentation cross-check ---
-
-def canonical_decomposition(table, d):
-    """Unique multiset of positive roots summing to d with pairwise Ext
-    vanishing in both directions."""
-    roots = [r.dim for r in table.reps]
-    roots.sort(key=lambda r: (-sum(r), r))
-    found = []
-
-    def fits(r, rem):
-        return all(x <= y for x, y in zip(r, rem))
-
-    def dfs(rem, start, acc):
-        if all(x == 0 for x in rem):
-            found.append(list(acc))
-            return
-        for i in range(start, len(roots)):
-            if fits(roots[i], rem):
-                dfs(tuple(x - y for x, y in zip(rem, roots[i])), i, acc + [i])
-
-    dfs(tuple(d), 0, [])
-    valid = []
-    for part in found:
-        mods = [table.by_dim[roots[i]] for i in part]
-        ok = all(ext_dim(x, y) == 0
-                 for a, x in enumerate(mods) for b, y in enumerate(mods) if a != b)
-        if ok:
-            valid.append([roots[i] for i in part])
-    if len(valid) != 1:
-        raise AssertionError(
-            f"canonical decomposition of {d} is not unique ({len(valid)} found)")
-    return valid[0]
-
-
-def generic_ext(table, a, b):
-    da = canonical_decomposition(table, a)
-    db = canonical_decomposition(table, b)
-    return sum(ext_dim(table.by_dim[x], table.by_dim[y]) for x in da for y in db)
-
-
-def generic_subdims(m):
-    """Dimension vectors of all proper nonzero subrepresentations of a rigid
-    m, by the generic-extension criterion ext(b, dim m - b) = 0 over every
-    vector b, each ext from canonical decompositions. An independent oracle:
-    its roots are exactly submodule_dims(m), and its other vectors are sums
-    of those."""
-    m = _as_rep(m)
-    table = m.table
-    d = m.dim
-    out = set()
-    ranges = [range(x + 1) for x in d]
-    for cand in product(*ranges):
-        if all(x == 0 for x in cand) or cand == d:
-            continue
-        rest = tuple(x - y for x, y in zip(d, cand))
-        if generic_ext(table, cand, rest) == 0:
-            out.add(cand)
     return out
 
 

@@ -1,5 +1,5 @@
-"""Valued quivers: Euler form, symmetrizer, exchange matrix, (co)dimension
-transforms between dimension vectors and g-vectors.
+"""Valued quivers: Euler form, symmetrizer, exchange matrix, and the g-vector
+of a dimension vector.
 
 Conventions used throughout the package:
   * vertices are 1..n in user-facing text, 0..n-1 internally;
@@ -8,8 +8,6 @@ Conventions used throughout the package:
   * symmetrizer f is a tuple of positive ints with f_i e_ij = f_j e_ji
     symmetrized via E^T D ... concretely D^{-1}(E^T - E) must be integral.
 """
-
-from fractions import Fraction
 
 from .intmat import mat_vec, transpose
 
@@ -153,11 +151,6 @@ def preset(name):
 
 # --- core pairings / transforms ---
 
-def exchange_matrix(q):
-    """B0 = D^{-1}(E^T - E) as a tuple-of-tuples of ints."""
-    return q.exchange
-
-
 def euler_pairing(q, a, b):
     """<a, b> = a^T E b (equals hom - ext on module classes)."""
     if len(a) != q.n or len(b) != q.n:
@@ -180,16 +173,3 @@ def g_of_dim(q, d):
                 f"{q.symmetrizer[i]}")
         g.append(x // q.symmetrizer[i])
     return tuple(g)
-
-
-def dim_of_g(q, g):
-    """Rational inverse of g_of_dim: d = (E^T)^{-1} D g as Fractions.
-
-    Callers inspect integrality and sign to decide module-hood.
-    """
-    if len(g) != q.n:
-        raise ValueError("g-vector must have length n")
-    from .intmat import solve
-    rhs = [q.symmetrizer[i] * g[i] for i in range(q.n)]
-    d = solve(transpose(q.euler), rhs)
-    return tuple(Fraction(x) for x in d)

@@ -234,6 +234,17 @@ def test_root_budget_exits_one(capsys):
     assert "not finite" not in line
 
 
+def test_vertex_bound_exits_one():
+    start = time.perf_counter()
+    proc = run_cli("mgs", "--quiver", "a_n:" + "<" * 499, "--m", "1",
+                   "--depth-cap", "1", "--count")
+    seconds = time.perf_counter() - start
+    assert proc.returncode == 1 and proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line == "mcfans: quiver has 500 vertices, more than the 64 supported"
+    assert seconds < 1.0
+
+
 def test_env_node_cap():
     proc = run_cli("enumerate", "--quiver", "a2", "--m", "3",
                    env_extra={"MCF_NODE_CAP": "5"})

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcfans import cli
-from mcfans.dilog import (Coeff, PairingForm, QSeries, check_pentagon,
-                          check_square, dilog_series, lau_add,
+from mcfans.dilog import (Coeff, PairingForm, QSeries, _den_expand,
+                          check_pentagon, check_square, dilog_series, lau_add,
                           lau_const, lau_monomial, lau_mul, dt_invariant_check,
                           edge_invariant_check, qseries_mul, qseries_one,
                           qseries_prod)
@@ -99,8 +99,13 @@ def test_qseries_truncation_drops_terms(form2):
         QSeries(0, form2)
 
 
+def qseries_monomial(alpha, truncation, form):
+    """The series y^alpha: its numerator is its denominator (q)_|alpha|."""
+    den = Counter(range(1, sum(alpha) + 1))
+    return QSeries(truncation, form, {tuple(alpha): _den_expand(den)})
+
+
 def test_twisted_monomial_rule(form2):
-    from mcfans.dilog import qseries_monomial
     y1 = qseries_monomial((1, 0), 4, form2)
     y2 = qseries_monomial((0, 1), 4, form2)
     fwd = qseries_mul(y1, y2, form2)

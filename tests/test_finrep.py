@@ -1,5 +1,6 @@
 """Indecomposables, hom/ext, walls, torsion classes, module oracles."""
 
+from functools import cache
 from itertools import product
 
 import pytest
@@ -7,15 +8,16 @@ import pytest
 from mcfans.cli import main
 from mcfans.enumeration import exchange_graph
 from mcfans.errors import (NotExceptionalSequence, UnsupportedType)
-from mcfans.finrep import (ShiftedProjective, Wall, canonical_decomposition,
-                           check_wall_membership, ext_dim, extension_middle,
-                           generic_subdims, hom_dim, hom_space, indecomposables,
-                           is_exceptional_sequence, mutation_case_oracle,
-                           perp_category, quotient_summand_dims,
-                           restricted_walls, span_of, submodule_dims,
-                           torsion_class_of_state, verify_chamber, wall_of)
-from mcfans.mutation import MutationContext
-from mcfans.seed import ValuedQuiver, dim_of_g, euler_pairing, g_of_dim, preset
+from mcfans.finrep import (ShiftedProjective, Wall, check_wall_membership,
+                           ext_dim, hom_dim, hom_space, indecomposables,
+                           is_exceptional_sequence, restricted_walls, span_of,
+                           submodule_dims, torsion_class_of_state,
+                           verify_chamber, wall_of)
+from mcfans.mutation import MutationContext, MutationState, mu_plus
+from mcfans.seed import ValuedQuiver, euler_pairing, g_of_dim, preset
+from oracles import (canonical_decomposition, dim_of_g, extension_middle,
+                     generic_subdims, graded_brick_states, mutation_case_oracle,
+                     perp_category, quotient_summand_dims)
 
 # --- tables ---
 
@@ -342,6 +344,85 @@ def test_extension_middle(table2, table3):
     assert [table3.reps[i].dim for i in ids] == [(0, 1, 1)]
     with pytest.raises(ValueError):
         extension_middle(S1, S2)  # no nonsplit extension this way round
+
+
+@cache
+def _graph(q, m):
+    return exchange_graph(MutationContext(q, m))
+
+
+def _mutation_cases():
+    d4 = _quiver(4, [(0, 1), (0, 2), (0, 3)])
+    return ([(preset("a3"), m) for m in (1, 2, 3)]
+            + [(preset("a_n:<><"), m) for m in (1, 2)]
+            + [(d4, m) for m in (1, 2)])
+
+
+@cache
+def _case(table, ck, cj, r):
+    return mutation_case_oracle(table.by_dim[ck], table.by_dim[cj], r)
+
+
+@cache
+def _middle(table, ck, cj):
+    ids = extension_middle(table.by_dim[ck], table.by_dim[cj])
+    return [table.reps[i].dim for i in ids]
+
+
+def test_every_green_edge_matches_the_module_oracles():
+    # mu_plus at k, for each j with r = B_kj > 0: at k's slope, E_j gains r
+    # copies of E_k by extension; one slope up, the universal map
+    # E_k^r -> E_j is mono (c_j keeps its slope) or epi (c_j is negated back
+    # to k's slope); at any other slope c_j stays
+    seen = {"extension": 0, "mono": 0, "epi": 0, "other": 0}
+    for q, m in _mutation_cases():
+        table = indecomposables(q)
+        for st in _graph(q, m).nodes.values():
+            b = st.B
+            for k in range(q.n):
+                sk = st.slopes[k]
+                if sk == m:
+                    continue
+                ck = st.column(k)
+                cols = [st.column(j) for j in range(q.n)]
+                slopes = list(st.slopes)
+                slopes[k] += 1
+                for j, r in enumerate(b[k]):
+                    if r <= 0:
+                        continue
+                    cj = cols[j]
+                    if slopes[j] == sk:
+                        kind = _case(table, ck, cj, r)
+                        assert kind == "extension", (st, k, j)
+                        assert _middle(table, ck, cj) == \
+                            [tuple(x + y for x, y in zip(cj, ck))]
+                        cols[j] = tuple(x + r * y for x, y in zip(cj, ck))
+                    elif slopes[j] == sk + 1:
+                        kind = _case(table, ck, cj, r)
+                        assert kind in ("mono", "epi"), (st, k, j)
+                        sign = 1 if kind == "mono" else -1
+                        cols[j] = tuple(sign * (x - r * y)
+                                        for x, y in zip(cj, ck))
+                        if kind == "epi":
+                            slopes[j] = sk
+                    else:
+                        kind = "other"
+                    seen[kind] += 1
+                assert mu_plus(st, k + 1) == \
+                    MutationState(st.context, zip(*cols), slopes), (st, k)
+    assert seen == {"extension": 498, "mono": 498, "epi": 498, "other": 498}
+
+
+def _opposite(q):
+    return ValuedQuiver(q.n, tuple(zip(*q.euler)), q.symmetrizer)
+
+
+def test_graded_semibricks_are_the_states():
+    for q, m in _mutation_cases() + [(preset("a_n:<><"), 3)]:
+        keys = set(_graph(q, m).nodes)
+        assert graded_brick_states(q, m) == keys, (q, m)
+        # with <y,x> for <x,y> (the opposite quiver's form) the model breaks
+        assert graded_brick_states(_opposite(q), m) != keys, (q, m)
 
 
 def test_quotient_summand_dims(table2, table3):

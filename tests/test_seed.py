@@ -2,14 +2,14 @@
 
 import pytest
 
-from mcfans.seed import (ValuedQuiver, dim_of_g, euler_pairing,
-                         exchange_matrix, g_of_dim, preset)
+from mcfans.seed import ValuedQuiver, euler_pairing, g_of_dim, preset
+from oracles import dim_of_g
 
 
 def test_preset_exchange_matrices(q2, q3, q2t):
-    assert exchange_matrix(q2) == ((0, -1), (1, 0))
-    assert exchange_matrix(q3) == ((0, -1, 0), (1, 0, 1), (0, -1, 0))
-    assert exchange_matrix(q2t) == ((0, -1, -1), (1, 0, -1), (1, 1, 0))
+    assert q2.exchange == ((0, -1), (1, 0))
+    assert q3.exchange == ((0, -1, 0), (1, 0, 1), (0, -1, 0))
+    assert q2t.exchange == ((0, -1, -1), (1, 0, -1), (1, 1, 0))
 
 
 def test_linear_preset_orientation():
