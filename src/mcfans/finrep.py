@@ -2,9 +2,9 @@
 
 The indecomposables are the positive roots, and everything else — Hom/Ext
 dimensions (from the Euler form), exceptional sequences, perpendicular
-categories, stability walls, torsion classes — is computed from them. Exact
-rational matrices, built by reflection functors from simples, exist only for
-the reps whose maps are read, by verify's hom/ext row and the test oracles.
+categories, stability walls, torsion classes — is computed from them as
+integer vectors. No representation matrix is built here; `hom_space` solves
+for homomorphisms between matrices that a caller supplies.
 """
 
 from fractions import Fraction
@@ -12,32 +12,22 @@ from fractions import Fraction
 from .errors import (DualBrickNotFound, NotExceptionalSequence,
                      UnsupportedType)
 from .intmat import rank as mat_rank
-from .intmat import det, dot, left_nullspace, nullspace
+from .intmat import det, dot, nullspace
 from .seed import euler_pairing, g_of_dim
 
 
 # --- the indecomposable table ---
 
 class IndecRep:
-    """An indecomposable representation: its dimension vector (a positive
-    root) and, built on first read, its rational matrices.
+    """An indecomposable representation, known by its dimension vector (a
+    positive root) and its index in the table."""
 
-    maps[(u, w)] is a (dim_w x dim_u) matrix for the arrow u -> w (0-based).
-    """
-
-    __slots__ = ("table", "idx", "dim", "_maps")
+    __slots__ = ("table", "idx", "dim")
 
     def __init__(self, table, idx, dim):
         self.table = table
         self.idx = idx
         self.dim = dim
-        self._maps = None
-
-    @property
-    def maps(self):
-        if self._maps is None:
-            self._maps = _build_rep(self.table.quiver, self.dim)
-        return self._maps
 
     def __eq__(self, other):
         return (isinstance(other, IndecRep) and other.table is self.table
@@ -132,110 +122,9 @@ def _positive_roots(cartan, n):
     return sorted(roots, key=lambda r: (sum(r), r))
 
 
-def _sinks_first_order(n, arrows):
-    """Topological order with arrow targets before sources."""
-    order = []
-    remaining = set(range(n))
-    arrs = set(arrows)
-    while remaining:
-        sink = next(v for v in sorted(remaining)
-                    if not any(u == v for (u, _w) in arrs))
-        order.append(sink)
-        remaining.discard(sink)
-        arrs = {(u, w) for (u, w) in arrs if u != sink and w != sink}
-    return order
-
-
 def _reflect_vector(cartan, v, i):
     pairing = sum(cartan[i][j] * v[j] for j in range(len(v)))
     return tuple(v[j] - (pairing if j == i else 0) for j in range(len(v)))
-
-
-def _reverse_at(arrows, i):
-    return [(w, u) if u == i or w == i else (u, w) for (u, w) in arrows]
-
-
-def _simple_rep_data(n, arrows, base):
-    dims = tuple(1 if v == base else 0 for v in range(n))
-    maps = {(u, w): _zero_matrix(dims[w], dims[u]) for (u, w) in arrows}
-    return dims, maps
-
-
-def _zero_matrix(rows, cols):
-    return tuple(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows))
-
-
-def _coreflect(n, arrows, dims, maps, i):
-    """C_i^- at a source i: replace N_i by coker(N_i -> sum of N_j)."""
-    targets = [w for (u, w) in arrows if u == i]
-    total = sum(dims[w] for w in targets)
-    if total == 0:
-        pi_rows = []
-    elif dims[i] == 0:
-        pi_rows = [tuple(Fraction(1 if t == s else 0) for t in range(total))
-                   for s in range(total)]
-    else:
-        # stacked map N_i -> direct sum over outgoing arrows
-        f = []
-        for w in targets:
-            for row in maps[(i, w)]:
-                f.append(list(row))
-        pi_rows = left_nullspace(f)
-    c = len(pi_rows)
-    new_dims = tuple(c if v == i else dims[v] for v in range(n))
-    new_arrows = _reverse_at(arrows, i)
-    new_maps = {}
-    offsets = {}
-    off = 0
-    for w in targets:
-        offsets[w] = off
-        off += dims[w]
-    for (u, w) in arrows:
-        if u == i:
-            # arrow i->w becomes w->i with map pi restricted to w's block
-            block = tuple(tuple(row[offsets[w] + t] for t in range(dims[w]))
-                          for row in pi_rows)
-            new_maps[(w, i)] = block
-        elif w == i:
-            raise AssertionError("vertex was not a source")
-        else:
-            new_maps[(u, w)] = maps[(u, w)]
-    return new_dims, new_maps, new_arrows
-
-
-def _build_rep(q, root):
-    """Matrices of the indecomposable of dimension vector root: reflect root
-    down to a simple, then apply the reflection functors back up."""
-    n = q.n
-    arrows = [(u, w) for (u, w, _) in q.arrows()]
-    if sum(root) == 1:
-        return _simple_rep_data(n, arrows, root.index(1))[1]
-    cartan = _check_dynkin(q)
-    order = _sinks_first_order(n, arrows)
-    v = root
-    seq = []
-    quiv = list(arrows)
-    base = None
-    for step in range(1000):
-        i = order[len(seq) % n]
-        if v == tuple(1 if j == i else 0 for j in range(n)):
-            base = i
-            break
-        v = _reflect_vector(cartan, v, i)
-        if any(x < 0 for x in v):
-            raise AssertionError(f"reflection left the positive cone at {root}")
-        seq.append(i)
-        quiv = _reverse_at(quiv, i)
-    if base is None:
-        raise AssertionError(f"no reflection sequence found for root {root}")
-    dims, maps = _simple_rep_data(n, quiv, base)
-    expected = tuple(1 if j == base else 0 for j in range(n))
-    for i in reversed(seq):
-        expected = _reflect_vector(cartan, expected, i)
-        dims, maps, quiv = _coreflect(n, quiv, dims, maps, i)
-        if dims != expected:
-            raise AssertionError(f"reflection functor dims drifted for {root}")
-    return maps
 
 
 def indecomposables(q):
@@ -253,8 +142,8 @@ def indecomposables(q):
 # --- hom / ext ---
 
 def hom_space(q, dims_x, maps_x, dims_y, maps_y):
-    """Basis of Hom(X, Y) as lists of per-vertex matrices (Fraction): the
-    matrix oracle for hom_dim, and the maps the mutation oracle reads."""
+    """Basis of Hom(X, Y) as lists of per-vertex matrices (Fraction), given
+    the arrow matrices of X and Y: the matrix oracle of the tests."""
     n = q.n
     sizes = [dims_y[v] * dims_x[v] for v in range(n)]
     offsets = [0]

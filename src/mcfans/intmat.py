@@ -113,25 +113,3 @@ def nullspace(a):
             v[pc] = -m[r][fc]
         basis.append(v)
     return basis
-
-
-def left_nullspace(a):
-    """Basis of {y : y^T a = 0}."""
-    return nullspace(transpose(a))
-
-
-def inverse(a):
-    """Exact inverse as a Fraction matrix; raises ValueError if singular."""
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(a)]
-    m, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in m[:n]]
-
-
-def solve(a, b):
-    """Solve a x = b exactly (a square nonsingular); returns Fraction vector."""
-    inv = inverse(a)
-    return mat_vec(inv, b)

@@ -14,13 +14,13 @@ from .enumeration import (enumerate_mgs, exchange_graph, fan_components,
 from .fans import (check_hv_invariance, configuration_of_state,
                    horizontal_algebra, silting_from_state, vertical_algebra)
 from .finrep import (ShiftedProjective, check_wall_membership, ext_dim,
-                     hom_dim, hom_space, indecomposables, restricted_walls,
+                     hom_dim, indecomposables, restricted_walls,
                      torsion_class_of_state, wall_of)
-from .intmat import det
+from .intmat import det, dot
 from .mutation import (MutationContext, MutationState, initial_state,
                        mu_minus, mu_plus, signed_c_matrix, validate_state)
 from .render import render_picture
-from .seed import ValuedQuiver, euler_pairing, preset
+from .seed import ValuedQuiver, preset
 
 
 class CheckFailure(AssertionError):
@@ -285,6 +285,47 @@ def _positive_root_set(q):
     return set(indecomposables(q).by_dim.keys())
 
 
+def _tau_inverse(table, x):
+    """tau^-1 x = -(E^T)^-1 E x, or None when x is injective: the g-vector
+    E^T d of tau^-1 x is -E x, so the table's g-index finds it."""
+    e = table.quiver.euler
+    return table.by_g.get(tuple(-dot(row, x.dim) for row in e))
+
+
+def coxeter_hom_ext(table):
+    """(hom, ext) on the indecomposables, from the tau^-1-orbits of the
+    projectives rather than the Euler pairing. In Dynkin type each
+    indecomposable is x = tau^-r P_i for one (r, i); tau^-1 is an equivalence
+    from the non-injectives to the non-projectives, Hom(P_i, Y) = Y_i, and no
+    nonzero map goes from a non-projective to a projective. So hom(x, y) =
+    (tau^r y)_i if y = tau^-s P_j with s >= r, else 0; ext(x, y) =
+    hom(y, tau x) by the Auslander-Reiten formula, and 0 for projective x
+    (Auslander-Reiten-Smalo, Representation theory of Artin algebras, 1995,
+    ch. VIII)."""
+    orbits, pos = [], {}
+    for i in range(table.quiver.n):
+        orbit = []
+        x = table.projective(i + 1)
+        while x is not None and x not in pos:
+            pos[x] = (len(orbit), i)
+            orbit.append(x)
+            x = _tau_inverse(table, x)
+        _require(x is None, f"the tau^-1-orbit of P{i + 1} returns to {x}")
+        orbits.append(orbit)
+    _require(len(pos) == len(table), f"the tau^-1-orbits of the projectives "
+             f"cover {len(pos)} of {len(table)} roots")
+
+    def hom(x, y):
+        (r, i), (s, j) = pos[x], pos[y]
+        return orbits[j][s - r].dim[i] if s >= r else 0
+
+    def ext(x, y):
+        r, i = pos[x]
+        return hom(y, orbits[i][r - 1]) if r else 0
+
+    return hom, ext
+
+
 def check_structural_properties():
     """Bundle of exhaustive invariants over the small exchange graphs."""
     notes = []
@@ -308,18 +349,16 @@ def check_structural_properties():
                              f"round trip fails at k={k}")
                     trips += 1
     notes.append(f"{trips} round trips")
-    # hom/ext from the Euler form match the matrix hom spaces; since the
-    # form's values are directed and <x,x> = 1, so are the matrices'
+    # hom/ext from the Euler form match the Coxeter orbits of the projectives
     pairs = 0
     for name in ("a2", "a3"):
-        q = preset(name)
-        table = indecomposables(q)
-        for x in table.reps:
-            for y in table.reps:
-                h = len(hom_space(q, x.dim, x.maps, y.dim, y.maps))
-                e = h - euler_pairing(q, x.dim, y.dim)
-                _require((hom_dim(x, y), ext_dim(x, y)) == (h, e),
-                         f"hom/ext disagree with hom_space: {x}, {y}")
+        table = indecomposables(preset(name))
+        hom, ext = coxeter_hom_ext(table)
+        for x in table:
+            for y in table:
+                _require((hom_dim(x, y), ext_dim(x, y))
+                         == (hom(x, y), ext(x, y)),
+                         f"hom/ext disagree with the Coxeter orbits: {x}, {y}")
                 pairs += 1
     notes.append(f"{pairs} hom/ext pairs")
     # wall membership: geometric and homological tests agree everywhere

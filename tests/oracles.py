@@ -1,10 +1,11 @@
 """Independent oracles that only the tests call.
 
-Module-theoretic checks of the mutation rule (universal maps, extension
-middles), generic subrepresentations from canonical decompositions, the
-rational inverse of g_of_dim, and a mutation-free model of the states as
-graded semibricks. Several read representation matrices or solve linear
-systems over Fraction; no CLI command calls any of them.
+Representation matrices built by reflection functors from simples (read
+through `maps_of`), module-theoretic checks of the mutation rule (universal
+maps, extension middles), generic subrepresentations from canonical
+decompositions, the rational inverse of g_of_dim, and a mutation-free model
+of the states as graded semibricks. Several read representation matrices or
+solve linear systems over Fraction; no CLI command calls any of them.
 """
 
 import json
@@ -12,15 +13,155 @@ from fractions import Fraction
 from itertools import product
 
 from mcfans.errors import McfError
-from mcfans.finrep import (_as_rep, _perp, ext_dim, hom_dim, hom_space,
-                           indecomposables)
+from mcfans.finrep import (_as_rep, _check_dynkin, _perp, _reflect_vector,
+                           ext_dim, hom_dim, hom_space, indecomposables)
 from mcfans.intmat import rank as mat_rank
-from mcfans.intmat import solve, transpose
+from mcfans.intmat import mat_vec, nullspace, rref, transpose
 from mcfans.seed import euler_pairing
 
 
 class InconclusiveGenericity(McfError):
     """Universal map was neither injective nor surjective; case undecidable."""
+
+
+# --- exact linear algebra over Fraction ---
+
+def left_nullspace(a):
+    """Basis of {y : y^T a = 0}."""
+    return nullspace(transpose(a))
+
+
+def inverse(a):
+    """Exact inverse as a Fraction matrix; raises ValueError if singular."""
+    n = len(a)
+    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+           for i, row in enumerate(a)]
+    m, pivots = rref(aug)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in m[:n]]
+
+
+def solve(a, b):
+    """Solve a x = b exactly (a square nonsingular); returns Fraction vector."""
+    inv = inverse(a)
+    return mat_vec(inv, b)
+
+
+# --- representation matrices by reflection functors ---
+
+def _sinks_first_order(n, arrows):
+    """Topological order with arrow targets before sources."""
+    order = []
+    remaining = set(range(n))
+    arrs = set(arrows)
+    while remaining:
+        sink = next(v for v in sorted(remaining)
+                    if not any(u == v for (u, _w) in arrs))
+        order.append(sink)
+        remaining.discard(sink)
+        arrs = {(u, w) for (u, w) in arrs if u != sink and w != sink}
+    return order
+
+
+def _reverse_at(arrows, i):
+    return [(w, u) if u == i or w == i else (u, w) for (u, w) in arrows]
+
+
+def _simple_rep_data(n, arrows, base):
+    dims = tuple(1 if v == base else 0 for v in range(n))
+    maps = {(u, w): _zero_matrix(dims[w], dims[u]) for (u, w) in arrows}
+    return dims, maps
+
+
+def _zero_matrix(rows, cols):
+    return tuple(tuple(Fraction(0) for _ in range(cols)) for _ in range(rows))
+
+
+def _coreflect(n, arrows, dims, maps, i):
+    """C_i^- at a source i: replace N_i by coker(N_i -> sum of N_j)."""
+    targets = [w for (u, w) in arrows if u == i]
+    total = sum(dims[w] for w in targets)
+    if total == 0:
+        pi_rows = []
+    elif dims[i] == 0:
+        pi_rows = [tuple(Fraction(1 if t == s else 0) for t in range(total))
+                   for s in range(total)]
+    else:
+        # stacked map N_i -> direct sum over outgoing arrows
+        f = []
+        for w in targets:
+            for row in maps[(i, w)]:
+                f.append(list(row))
+        pi_rows = left_nullspace(f)
+    c = len(pi_rows)
+    new_dims = tuple(c if v == i else dims[v] for v in range(n))
+    new_arrows = _reverse_at(arrows, i)
+    new_maps = {}
+    offsets = {}
+    off = 0
+    for w in targets:
+        offsets[w] = off
+        off += dims[w]
+    for (u, w) in arrows:
+        if u == i:
+            # arrow i->w becomes w->i with map pi restricted to w's block
+            block = tuple(tuple(row[offsets[w] + t] for t in range(dims[w]))
+                          for row in pi_rows)
+            new_maps[(w, i)] = block
+        elif w == i:
+            raise AssertionError("vertex was not a source")
+        else:
+            new_maps[(u, w)] = maps[(u, w)]
+    return new_dims, new_maps, new_arrows
+
+
+def _build_rep(q, root):
+    """Matrices of the indecomposable of dimension vector root: reflect root
+    down to a simple, then apply the reflection functors back up."""
+    n = q.n
+    arrows = [(u, w) for (u, w, _) in q.arrows()]
+    if sum(root) == 1:
+        return _simple_rep_data(n, arrows, root.index(1))[1]
+    cartan = _check_dynkin(q)
+    order = _sinks_first_order(n, arrows)
+    v = root
+    seq = []
+    quiv = list(arrows)
+    base = None
+    for step in range(1000):
+        i = order[len(seq) % n]
+        if v == tuple(1 if j == i else 0 for j in range(n)):
+            base = i
+            break
+        v = _reflect_vector(cartan, v, i)
+        if any(x < 0 for x in v):
+            raise AssertionError(f"reflection left the positive cone at {root}")
+        seq.append(i)
+        quiv = _reverse_at(quiv, i)
+    if base is None:
+        raise AssertionError(f"no reflection sequence found for root {root}")
+    dims, maps = _simple_rep_data(n, quiv, base)
+    expected = tuple(1 if j == base else 0 for j in range(n))
+    for i in reversed(seq):
+        expected = _reflect_vector(cartan, expected, i)
+        dims, maps, quiv = _coreflect(n, quiv, dims, maps, i)
+        if dims != expected:
+            raise AssertionError(f"reflection functor dims drifted for {root}")
+    return maps
+
+
+_MAPS = {}
+
+
+def maps_of(rep):
+    """The matrices of an indecomposable, memoized on (quiver key, dim):
+    maps[(u, w)] is a (dim_w x dim_u) Fraction matrix for the arrow u -> w
+    (0-based)."""
+    key = (rep.table.quiver.key(), rep.dim)
+    if key not in _MAPS:
+        _MAPS[key] = _build_rep(rep.table.quiver, rep.dim)
+    return _MAPS[key]
 
 
 def dim_of_g(q, g):
@@ -81,7 +222,7 @@ def mutation_case_oracle(e_k, e_j, r):
     if ext_dim(e_k, e_j) == r and hom_dim(e_k, e_j) == 0 and hom_dim(e_j, e_k) == 0:
         return "extension"
     if hom_dim(e_k, e_j) == r:
-        basis = hom_space(q, e_k.dim, e_k.maps, e_j.dim, e_j.maps)
+        basis = hom_space(q, e_k.dim, maps_of(e_k), e_j.dim, maps_of(e_j))
         ranks = _universal_map_ranks(basis, e_k.dim, e_j.dim, r, "cols")
         if all(rk == r * e_k.dim[v] for v, rk in enumerate(ranks)):
             return "mono"
@@ -89,7 +230,7 @@ def mutation_case_oracle(e_k, e_j, r):
             return "epi"
         raise InconclusiveGenericity("universal map is neither mono nor epi")
     if hom_dim(e_j, e_k) == r:
-        basis = hom_space(q, e_j.dim, e_j.maps, e_k.dim, e_k.maps)
+        basis = hom_space(q, e_j.dim, maps_of(e_j), e_k.dim, maps_of(e_k))
         ranks = _universal_map_ranks(basis, e_j.dim, e_k.dim, r, "rows")
         if all(rk == r * e_k.dim[v] for v, rk in enumerate(ranks)):
             return "epi"
@@ -107,7 +248,7 @@ def decompose(table, dims, maps):
     determined by Hom counts against the full table."""
     q = table.quiver
     reps = table.reps
-    hvec = [len(hom_space(q, t.dim, t.maps, dims, maps)) for t in reps]
+    hvec = [len(hom_space(q, t.dim, maps_of(t), dims, maps)) for t in reps]
     hmat = [[hom_dim(t, u) for u in reps] for t in reps]
     mults = solve(hmat, hvec)
     out = []
@@ -129,6 +270,7 @@ def extension_middle(a, b):
     if ext_dim(a, b) == 0:
         raise ValueError("the pair has no nonsplit extension")
     arrows = [(u, w) for (u, w, _) in q.arrows()]
+    maps_a, maps_b = maps_of(a), maps_of(b)
     # coboundary image: delta(phi)_(u,w) = B_(u,w) phi_u - phi_w A_(u,w)
     slots = [(arr, r, c) for arr in arrows
              for r in range(b.dim[arr[1]]) for c in range(a.dim[arr[0]])]
@@ -140,9 +282,9 @@ def extension_middle(a, b):
         for ((u, w), r, c) in slots:
             val = Fraction(0)
             if pv == u and pc == c:
-                val += b.maps[(u, w)][r][pr]
+                val += maps_b[(u, w)][r][pr]
             if pv == w and pr == r:
-                val -= a.maps[(u, w)][pc][c]
+                val -= maps_a[(u, w)][pc][c]
             col.append(val)
         img_rows.append(col)
     existing = [row[:] for row in img_rows]
@@ -161,10 +303,10 @@ def extension_middle(a, b):
         mat = [[Fraction(0)] * dims[u] for _ in range(dims[w])]
         for r in range(b.dim[w]):
             for c in range(b.dim[u]):
-                mat[r][c] = b.maps[(u, w)][r][c]
+                mat[r][c] = maps_b[(u, w)][r][c]
         for r in range(a.dim[w]):
             for c in range(a.dim[u]):
-                mat[b.dim[w] + r][b.dim[u] + c] = a.maps[(u, w)][r][c]
+                mat[b.dim[w] + r][b.dim[u] + c] = maps_a[(u, w)][r][c]
         for idx, ((au, aw), r, c) in enumerate(slots):
             if (au, aw) == (u, w) and chosen[idx]:
                 mat[r][b.dim[u] + c] = chosen[idx]

@@ -13,11 +13,14 @@ from mcfans.finrep import (ShiftedProjective, Wall, check_wall_membership,
                            is_exceptional_sequence, restricted_walls, span_of,
                            submodule_dims, torsion_class_of_state,
                            verify_chamber, wall_of)
+from mcfans.intmat import mat_mul, mat_vec, transpose
 from mcfans.mutation import MutationContext, MutationState, mu_plus
 from mcfans.seed import ValuedQuiver, euler_pairing, g_of_dim, preset
+from mcfans.verify import (CheckFailure, check_structural_properties,
+                           coxeter_hom_ext)
 from oracles import (canonical_decomposition, dim_of_g, extension_middle,
-                     generic_subdims, graded_brick_states, mutation_case_oracle,
-                     perp_category, quotient_summand_dims)
+                     generic_subdims, graded_brick_states, inverse, maps_of,
+                     mutation_case_oracle, perp_category, quotient_summand_dims)
 
 # --- tables ---
 
@@ -106,9 +109,10 @@ def test_euler_form_matches_hom_space():
     pairs = 0
     for q in quivers:
         table = indecomposables(q)
+        maps = {x: maps_of(x) for x in table}
         for x in table:
             for y in table:
-                h = len(hom_space(q, x.dim, x.maps, y.dim, y.maps))
+                h = len(hom_space(q, x.dim, maps[x], y.dim, maps[y]))
                 assert hom_dim(x, y) == h, (x, y)
                 assert hom_dim(x, y) - ext_dim(x, y) == \
                     euler_pairing(q, x.dim, y.dim)
@@ -125,21 +129,58 @@ def test_thin_indecomposables_are_nonzero_inside_their_support():
                 thin += 1
                 for (u, w, _) in q.arrows():
                     if z.dim[u] and z.dim[w]:
-                        assert z.maps[(u, w)][0][0] != 0, (z, u, w)
+                        assert maps_of(z)[(u, w)][0][0] != 0, (z, u, w)
     assert thin == 710
+
+
+def test_coxeter_orbits_give_hom_and_ext():
+    # the tau^-1-orbits of the projectives cover each table exactly
+    # (coxeter_hom_ext raises otherwise), and the hom/ext they give equal
+    # max(0, <x,y>) and max(0, -<x,y>) on every pair
+    e6 = _quiver(6, [(0, 1), (2, 1), (2, 3), (4, 3), (5, 2)])
+    pairs = 0
+    for q in _small_dynkin() + [e6]:
+        table = indecomposables(q)
+        hom, ext = coxeter_hom_ext(table)
+        for x in table:
+            for y in table:
+                assert (hom(x, y), ext(x, y)) == \
+                    (hom_dim(x, y), ext_dim(x, y)), (x, y)
+                pairs += 1
+    assert pairs == 12114 + 36 * 36
+
+
+def test_coxeter_oracle_fails_with_tau_for_tau_inverse(monkeypatch, table3):
+    import mcfans.verify as verify
+
+    def tau(table, x):
+        # tau x = Phi x with Phi = -E^-1 E^T, in place of tau^-1 x
+        e = table.quiver.euler
+        phi = mat_mul(inverse(e), transpose(e))
+        return table.by_dim.get(tuple(-v for v in mat_vec(phi, x.dim)))
+
+    monkeypatch.setattr(verify, "_tau_inverse", tau)
+    with pytest.raises(CheckFailure):
+        coxeter_hom_ext(table3)
+    with pytest.raises(CheckFailure):
+        check_structural_properties()
 
 
 def test_walls_fans_and_torsion_build_no_matrices(monkeypatch, capsys):
     import mcfans.finrep as finrep
+    import mcfans.intmat as intmat
 
     def refuse(*args):
-        raise AssertionError("a representation matrix was built")
+        raise AssertionError("a hom space or null space was solved for")
 
-    monkeypatch.setattr(finrep, "_build_rep", refuse)
+    for module, name in ((finrep, "hom_space"), (finrep, "nullspace"),
+                         (intmat, "nullspace")):
+        monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(finrep, "_TABLE_CACHE", {})
     for args in (["walls", "--quiver", "a_n:<><><><><><"],
                  ["render", "--quiver", "a3", "--format", "stats"],
-                 ["fans", "--quiver", "a3", "--m", "2"]):
+                 ["fans", "--quiver", "a3", "--m", "2"],
+                 ["verify"]):
         assert main(args) == 0, args
     capsys.readouterr()
     q3 = preset("a3")
@@ -171,7 +212,7 @@ def test_silting_and_torsion_solve_no_linear_system(monkeypatch):
     def refuse(*args):
         raise AssertionError("a linear system was solved")
 
-    monkeypatch.setattr(mcfans.intmat, "solve", refuse)
+    monkeypatch.setattr(mcfans.intmat, "rref", refuse)
     q3 = preset("a3")
     for m in (1, 2, 3):
         for st in exchange_graph(MutationContext(q3, m)).nodes.values():
